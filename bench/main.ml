@@ -1049,8 +1049,9 @@ let bench_pr8 () =
       |> Array.of_list
     in
     let n = Array.length addrs in
-    (* aggregate receipt fingerprint: outcome tag + gas + trace length
-       per tx, folded — equal folds across engines = identical replay *)
+    (* aggregate receipt fingerprint: outcome tag + gas + effect and
+       log counts per tx, folded — equal folds across engines =
+       identical replay *)
     let fp = ref 0 in
     for tx = 0 to target_txs - 1 do
       let k = tx mod n in
@@ -1058,7 +1059,8 @@ let bench_pr8 () =
       let cd = datas.(tx / n mod Array.length datas) in
       let r = T.transact net ~from ~to_:addrs.(k) cd in
       fp :=
-        !fp + r.T.gas_used + (1021 * List.length r.T.trace)
+        !fp + r.T.gas_used + (1021 * List.length r.T.effects)
+        + (7919 * List.length r.T.logs)
         + (match r.T.outcome with
           | I.Returned _ -> 1
           | I.Reverted _ -> 2
@@ -1226,17 +1228,17 @@ let bench_pr9 () =
   Idx.drain bidx;
   Idx.close bidx;
   let live = List.length (T.live_contracts net) in
-  (* the cold baseline is a journal-less restart: a fresh index re-reads
-     the whole chain and re-analyzes every live contract from cold
-     pipeline caches *)
+  (* the cold baseline is a journal-less restart: a batch sweep that
+     re-analyzes every live contract from cold pipeline caches (the
+     chain kept no history while the index was attached, so there is
+     nothing left to replay) *)
   P.cache_clear ();
-  let cold_s, cidx =
+  let cold_s, _ =
     time (fun () ->
-        let i = Idx.create net in
-        Idx.drain i;
-        i)
+        List.map
+          (fun (_, code) -> S.analyze_request (P.request (P.Runtime code)))
+          (T.live_contracts net))
   in
-  Idx.detach cidx;
   (* the warm restart parses the checkpoint and re-subscribes from the
      persisted cursor — same cold pipeline caches, zero re-analysis *)
   P.cache_clear ();
@@ -1597,7 +1599,8 @@ let bench_pr10 () =
       let cd = datas.(tx / n mod Array.length datas) in
       let r = T.transact net ~from ~to_:addrs.(k) cd in
       fp :=
-        !fp + r.T.gas_used + (1021 * List.length r.T.trace)
+        !fp + r.T.gas_used + (1021 * List.length r.T.effects)
+        + (7919 * List.length r.T.logs)
         + (match r.T.outcome with
           | I.Returned _ -> 1
           | I.Reverted _ -> 2

@@ -2,8 +2,8 @@
 
    Spins up a private testnet fork, deploys the given contract(s), runs
    Ethainter, and attempts automated destruction of everything flagged
-   with an accessible/tainted selfdestruct — verifying success against
-   the VM instruction trace. *)
+   with an accessible/tainted selfdestruct — confirming success from the
+   post-state (the victim is no longer alive). *)
 
 open Cmdliner
 module U = Ethainter_word.Uint256

@@ -4,7 +4,8 @@
    2. Ethainter statically detects the composite vulnerability;
    3. Ethainter-Kill exploits it automatically — the four-step
       escalation (register as user, refer self as admin, take
-      ownership, kill) — and verifies the destruction in the VM trace.
+      ownership, kill) — and confirms the destruction from the
+      post-state (the victim is no longer alive).
 
    Run with: dune exec examples/victim_composite.exe *)
 

@@ -1,21 +1,7 @@
-(** An in-memory Ethereum test network.
-
-    Plays the role of the paper's evaluation substrates: the mainnet
-    snapshot Ethainter analyzes, and the "private fork of the Ropsten
-    testnet" on which Ethainter-Kill destroys contracts (§6.1).
-
-    The network executes transactions through {!Ethainter_evm.Interp},
-    records per-transaction receipts with instruction traces, and can
-    be forked cheaply (copy-on-snapshot of world state).
-
-    Beyond receipts, the network seals {b blocks} and exposes them to
-    consumers two ways: pull ({!blocks_since} tails the chain from any
-    height) and push ({!on_block} observers run at each seal). A block
-    carries the digested chain-observable effects — deployments,
-    storage writes, self-destructs — that a streaming analysis index
-    needs to compute its dirty set without re-deriving anything from
-    instruction traces. By default every transaction seals its own
-    block; {!in_block} batches several transactions into one. *)
+(* An in-memory Ethereum test network: untraced transactions, sealed
+   block digests pushed to observers in registration order, and a
+   history kept only until every subscriber has it. See testnet.mli
+   for the contract. *)
 
 module U = Ethainter_word.Uint256
 module State = Ethainter_evm.State
@@ -27,7 +13,6 @@ type receipt = {
   to_ : U.t option; (** None for contract creation *)
   created : U.t option;
   outcome : Interp.outcome;
-  trace : Interp.trace_entry list;
   logs : Interp.log_entry list; (** events emitted by this transaction *)
   effects : Interp.effect list;
       (** chain-observable effects (storage writes, creations,
@@ -38,7 +23,6 @@ type receipt = {
 
 type block = {
   b_number : int;
-  b_receipts : receipt list; (** oldest first *)
   b_deployed : (U.t * string) list;
       (** contracts deployed in this block and still live at its seal
           (address × runtime bytecode) — direct deployments and
@@ -52,45 +36,51 @@ type block = {
   b_selfdestructed : U.t list; (** contracts destroyed by this block *)
 }
 
+(* One observer list, in registration order, holds plain [on_block]
+   callbacks and subscriptions ([o_cursor]); only the latter let the
+   chain drop the blocks they have received. *)
+type observer = { o_deliver : block -> unit; o_cursor : bool }
+type subscription = observer
+
 type t = {
   state : State.t;
   engine : Interp.engine; (* executor for every tx on this net *)
   mutable block_number : int;
-  mutable receipts : receipt list;
-  mutable blocks : block list; (* newest first *)
+  kept : block Queue.t; (* blocks (dropped_upto, block_number], oldest first *)
+  mutable dropped_upto : int;
   mutable open_block : bool;   (* inside in_block: txs share one block *)
-  mutable pending : receipt list; (* current block's receipts, newest first *)
-  mutable observers : (block -> unit) list; (* registration order, reversed *)
+  mutable pending : Interp.effect list list; (* per tx, newest first *)
+  mutable observers : observer list; (* registration order *)
   name : string;
 }
 
 let create ?(name = "ropsten-fork") ?(engine = Interp.Decoded) () =
-  { state = State.create (); engine; block_number = 0; receipts = [];
-    blocks = []; open_block = false; pending = []; observers = []; name }
+  { state = State.create (); engine; block_number = 0; kept = Queue.create ();
+    dropped_upto = 0; open_block = false; pending = []; observers = [];
+    name }
 
-(** Fork the network: independent deep copy of world state, shared
-    history up to the fork point. Observers are {e not} inherited — a
-    fork is a new chain tail and consumers must opt in again. *)
+(** Fork the network: independent deep copy of world state, and the
+    kept history up to the fork point. Observers are {e not} inherited
+    — a fork is a new chain tail and consumers must opt in again. *)
 let fork ?(name = "fork") (t : t) =
   { state = State.copy t.state; engine = t.engine;
-    block_number = t.block_number;
-    receipts = t.receipts; blocks = t.blocks; open_block = false;
-    pending = []; observers = []; name }
+    block_number = t.block_number; kept = Queue.copy t.kept;
+    dropped_upto = t.dropped_upto; open_block = false; pending = [];
+    observers = []; name }
 
 let state t = t.state
 let block_number t = t.block_number
 
 (* ---------------- blocks ---------------- *)
 
-(* Digest the pending receipts into a sealed block and notify
-   observers (in registration order, on the sealing thread). Effect
-   lists over-approximate (inner reverts are not trimmed), so
+(* Digest the pending effects into a sealed block and notify observers
+   (in registration order, on the sealing thread). Effect lists
+   over-approximate (inner reverts are not trimmed), so
    liveness-sensitive views — what was deployed, what is destroyed —
    are re-checked against the state at seal time. *)
 let seal (t : t) : unit =
-  let receipts = List.rev t.pending in
+  let effects = List.concat (List.rev t.pending) in
   t.pending <- [];
-  let effects = List.concat_map (fun r -> r.effects) receipts in
   let seen_dep : (U.t, unit) Hashtbl.t = Hashtbl.create 8 in
   let seen_wr : (U.t * U.t, unit) Hashtbl.t = Hashtbl.create 16 in
   let seen_sd : (U.t, unit) Hashtbl.t = Hashtbl.create 4 in
@@ -117,13 +107,16 @@ let seal (t : t) : unit =
           end)
     effects;
   let b =
-    { b_number = t.block_number; b_receipts = receipts;
+    { b_number = t.block_number;
       b_deployed = List.rev !deployed;
       b_storage_writes = List.rev !writes;
       b_selfdestructed = List.rev !destroyed }
   in
-  t.blocks <- b :: t.blocks;
-  List.iter (fun f -> f b) (List.rev t.observers)
+  List.iter (fun o -> o.o_deliver b) t.observers;
+  (* every subscriber has it now; keep it only for a future one *)
+  if List.exists (fun o -> o.o_cursor) t.observers then
+    t.dropped_upto <- b.b_number
+  else Queue.push b t.kept
 
 (* Open a block if none is open; every transaction helper funnels
    through here. *)
@@ -131,8 +124,7 @@ let begin_tx (t : t) : unit =
   if not t.open_block then t.block_number <- t.block_number + 1
 
 let record (t : t) (r : receipt) : unit =
-  t.receipts <- r :: t.receipts;
-  t.pending <- r :: t.pending;
+  t.pending <- r.effects :: t.pending;
   if not t.open_block then seal t
 
 (** Batch several transactions into one block: [f]'s transactions all
@@ -160,17 +152,33 @@ let advance_to_block (t : t) (n : int) : unit =
     in_block t (fun () -> ())
   done
 
-(** Sealed blocks with number strictly greater than [n], ascending —
-    [blocks_since t 0] is the whole chain, [blocks_since t (head - k)]
-    tails the last [k]. *)
-let blocks_since (t : t) (n : int) : block list =
-  List.rev (List.filter (fun b -> b.b_number > n) t.blocks)
+let add_observer (t : t) (o : observer) = t.observers <- t.observers @ [ o ]
 
-(** Register a block observer, called synchronously on the sealing
-    thread after each block (including blocks sealed by {!in_block}).
-    Observers must not raise and must not transact on [t] reentrantly. *)
 let on_block (t : t) (f : block -> unit) : unit =
-  t.observers <- f :: t.observers
+  add_observer t { o_deliver = f; o_cursor = false }
+
+(* Blocks (dropped_upto, head] are kept: everything sealed since the
+   last subscriber left. *)
+let subscribe (t : t) ~(cursor : int) (f : block -> unit) : subscription =
+  if cursor < t.dropped_upto then
+    invalid_arg
+      (Printf.sprintf
+         "Testnet.subscribe: blocks %d..%d are no longer kept (cursor %d)"
+         (cursor + 1) t.dropped_upto cursor);
+  (* kept blocks exist only while no other subscriber does: once this
+     one has them, every subscriber has *)
+  Queue.iter
+    (fun b ->
+      if b.b_number > cursor then f b;
+      t.dropped_upto <- b.b_number)
+    t.kept;
+  Queue.clear t.kept;
+  let o = { o_deliver = f; o_cursor = true } in
+  add_observer t o;
+  o
+
+let unsubscribe (t : t) (o : subscription) : unit =
+  t.observers <- List.filter (fun o' -> o' != o) t.observers
 
 (** Every live contract (deployed, not self-destructed) with its
     runtime bytecode, sorted by address — the corpus a cold batch
@@ -208,30 +216,36 @@ let deploy (t : t) ~(from : U.t) ?(value = U.zero) (initcode : string) :
   let nonce = State.nonce t.state from in
   let addr = State.contract_address ~creator:from ~nonce in
   State.bump_nonce t.state from;
-  let snap = State.snapshot t.state in
-  let _ = State.transfer t.state ~src:from ~dst:addr ~value in
-  State.set_code t.state addr initcode;
+  let mark = State.snapshot t.state in
   let cr =
-    Interp.call_full ~engine:t.engine t.state ~caller:from ~target:addr
-      ~value:U.zero ~calldata:""
+    try
+      ignore (State.transfer t.state ~src:from ~dst:addr ~value);
+      State.set_code t.state addr initcode;
+      Interp.call_full ~engine:t.engine t.state ~caller:from ~target:addr
+        ~value:U.zero ~calldata:""
+    with e ->
+      let bt = Printexc.get_raw_backtrace () in
+      State.restore t.state mark;
+      Printexc.raise_with_backtrace e bt
   in
   let outcome, created, effects =
     match cr.Interp.outcome with
     | Interp.Returned runtime ->
         State.set_code t.state addr runtime;
+        State.commit t.state mark;
         (* the deploy path creates by transaction, not by a CREATE
            opcode — synthesize the effect so block consumers see one
            uniform deployment stream *)
         ( Interp.Returned runtime, Some addr,
           Interp.E_create addr :: cr.Interp.tx_effects )
     | (Interp.Reverted _ | Interp.Failed _) as o ->
-        State.restore t.state snap;
+        State.restore t.state mark;
         (o, None, [])
   in
   let r =
     { tx_hash = next_tx_hash from; from; to_ = None; created; outcome;
-      trace = cr.Interp.tx_trace; logs = cr.Interp.tx_logs; effects;
-      gas_used = cr.Interp.gas_used; block = t.block_number }
+      logs = cr.Interp.tx_logs; effects; gas_used = cr.Interp.gas_used;
+      block = t.block_number }
   in
   record t r;
   r
@@ -253,8 +267,8 @@ let transact (t : t) ~(from : U.t) ~(to_ : U.t) ?(value = U.zero)
   in
   let r =
     { tx_hash = next_tx_hash from; from; to_ = Some to_; created = None;
-      outcome = cr.Interp.outcome; trace = cr.Interp.tx_trace;
-      logs = cr.Interp.tx_logs; effects = cr.Interp.tx_effects;
+      outcome = cr.Interp.outcome; logs = cr.Interp.tx_logs;
+      effects = cr.Interp.tx_effects;
       gas_used = cr.Interp.gas_used; block = t.block_number }
   in
   record t r;

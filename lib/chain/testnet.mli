@@ -3,15 +3,28 @@
     Plays the role of the paper's evaluation substrates: the network
     the analyzed contracts live on, and the "private fork of the
     Ropsten testnet" on which Ethainter-Kill destroys contracts (§6.1).
-    Transactions execute through the real EVM interpreter; receipts
-    carry full instruction traces and event logs.
+    Transactions execute through the real EVM interpreter, untraced;
+    each returns a receipt with its outcome, event logs and effects,
+    and the network keeps none of them.
 
-    The network also seals {b blocks} and exposes them to consumers by
-    pull ({!blocks_since}) or push ({!on_block}), carrying the digested
+    The network also seals {b blocks} carrying the digested
     chain-observable effects — deployments, storage writes,
     self-destructs — that a streaming analysis index needs to compute
-    its dirty set. By default every transaction seals its own block;
-    {!in_block} batches several into one. *)
+    its dirty set, and pushes each to its observers in registration
+    order. By default every transaction seals its own block;
+    {!in_block} batches several into one.
+
+    {2 History}
+
+    A plain observer ({!on_block}) sees blocks from its registration on
+    and pins nothing. A subscriber ({!subscribe}) holds a cursor — the
+    last block it has processed — and first catches up on the kept
+    blocks past it. A sealed block is kept while no subscriber is
+    attached (so a consumer attached later can still catch up from
+    genesis) and dropped once every subscriber has received it; with a
+    subscriber attached the network therefore keeps no history at all,
+    whatever its length. There is no retention window and no other
+    knob. *)
 
 module U = Ethainter_word.Uint256
 module State = Ethainter_evm.State
@@ -23,18 +36,18 @@ type receipt = {
   to_ : U.t option;        (** [None] for contract creation *)
   created : U.t option;    (** new contract address, on successful create *)
   outcome : Interp.outcome;
-  trace : Interp.trace_entry list; (** executed instructions *)
   logs : Interp.log_entry list;    (** events (empty if rolled back) *)
   effects : Interp.effect list;
       (** chain-observable effects (storage writes, creations,
-          self-destructs), chronological; empty if rolled back *)
+          self-destructs), chronological; empty if rolled back. Inner
+          reverts are not trimmed, so an [E_selfdestruct] does not
+          prove destruction: {!is_alive} does. *)
   gas_used : int;
   block : int;
 }
 
 type block = {
   b_number : int;
-  b_receipts : receipt list; (** oldest first *)
   b_deployed : (U.t * string) list;
       (** contracts deployed in this block and still live at its seal
           (address × runtime bytecode) — direct deployments and
@@ -56,8 +69,8 @@ val create : ?name:string -> ?engine:Interp.engine -> unit -> t
     benchmarking — results are identical either way. *)
 
 val fork : ?name:string -> t -> t
-(** Independent deep copy of world state; shared history up to the
-    fork point. Block observers are {e not} inherited. *)
+(** Independent deep copy of world state, and of the kept history.
+    Observers and subscribers are {e not} inherited. *)
 
 val state : t -> State.t
 val block_number : t -> int
@@ -75,15 +88,27 @@ val advance_to_block : t -> int -> unit
     with the chain it re-attaches to.
     @raise Invalid_argument inside {!in_block}. *)
 
-val blocks_since : t -> int -> block list
-(** [blocks_since t n] is every sealed block with number strictly
-    greater than [n], oldest first — [blocks_since t 0] replays the
-    whole chain. *)
-
 val on_block : t -> (block -> unit) -> unit
 (** Register a block observer, called synchronously on the sealing
-    thread after each block, in registration order. Observers must not
-    raise and must not transact on [t] reentrantly. *)
+    thread after each block, in registration order (one list shared
+    with subscribers). It pins no history. Observers must not raise
+    and must not transact on [t] reentrantly. *)
+
+type subscription
+
+val subscribe : t -> cursor:int -> (block -> unit) -> subscription
+(** [subscribe t ~cursor f] calls [f] on every kept block numbered
+    above [cursor], oldest first, then registers [f] like an
+    {!on_block} observer; from then on blocks are dropped as soon as
+    they are sealed and delivered. A cursor at or past the head is
+    fine (nothing to catch up on).
+    @raise Invalid_argument when a block past [cursor] is no longer
+    kept — some subscriber already received and released it. *)
+
+val unsubscribe : t -> subscription -> unit
+(** Remove the subscriber: the network holds no reference to it
+    afterwards. Blocks sealed while no subscriber is attached are kept
+    again. Idempotent. *)
 
 val live_contracts : t -> (U.t * string) list
 (** Every live contract (deployed, not self-destructed) with its

@@ -2,11 +2,13 @@
 
     Executes EVM bytecode against a {!State.t}, with full message-call
     semantics ([CALL], [DELEGATECALL], [STATICCALL], [CALLCODE],
-    [CREATE]), revert/rollback, gas accounting, and an instruction
-    trace. The trace is how Ethainter-Kill confirms an exploit: the
-    paper verifies destruction "by analyzing the exact VM instruction
-    trace and identifying whether the selfdestruct opcode was
-    executed" (§6.1).
+    [CREATE]), revert/rollback, gas accounting, and an optional
+    instruction trace. Rollback runs on the state's undo journal: each
+    call frame opens a {!State.snapshot} mark, commits it on success
+    and restores it on revert or failure. The trace is off unless a
+    caller asks for it ([call_full ~trace:true]); the differential
+    tests do, while the testnet, Kill and the index judge an execution
+    by its outcome, effects and post-state.
 
     Two engines execute the same semantics:
 
@@ -46,8 +48,10 @@ type call_kind = Call | DelegateCall | StaticCall | CallCode
     inside an {e inner} call that later reverted are not trimmed
     (neither is the trace); a consumer treating each effect as "this
     state {e may} have changed" over-approximates, which is the sound
-    direction for cache invalidation. Effects of a reverted or failed
-    {e top-level} call are dropped, like logs. *)
+    direction for cache invalidation — but it also means an
+    [E_selfdestruct] proves nothing: only the post-state says whether
+    the contract is gone. Effects of a reverted or failed {e top-level}
+    call are dropped, like logs. *)
 type effect =
   | E_sstore of { es_addr : U.t; es_slot : U.t }
       (** storage write: contract [es_addr], slot [es_slot] *)
@@ -73,7 +77,8 @@ type context = {
      lazily at a frame's first recorded entry, so they are bounded by
      [max_trace] (<= 2^20 given the 1M trace cap). Both engines
      reconstruct the identical [trace_entry list] in [call_full];
-     [trace_len] counts entries for either. *)
+     [trace_len] counts entries for either. An untraced call has
+     [max_trace = 0], so neither engine records anything. *)
   mutable tmeta : int array;
   mutable faddr : U.t array;
   mutable nframes : int;
@@ -452,14 +457,16 @@ let rec execute_bytewise (ctx : context) ~(depth : int) ~(self : U.t)
           let initcode = Memory.load_bytes mem (as_offset off) (as_offset len) in
           if depth >= max_call_depth then push U.zero
           else begin
-            let creator_acct = State.account ctx.state self in
             let new_addr =
-              State.contract_address ~creator:self ~nonce:creator_acct.nonce
+              State.contract_address ~creator:self
+                ~nonce:(State.nonce ctx.state self)
             in
             State.bump_nonce ctx.state self;
-            let snap = State.snapshot ctx.state in
+            let mark = State.snapshot ctx.state in
             (match State.transfer ctx.state ~src:self ~dst:new_addr ~value with
-            | Error _ -> push U.zero
+            | Error _ ->
+                State.commit ctx.state mark;
+                push U.zero
             | Ok () -> (
                 State.set_code ctx.state new_addr initcode;
                 match
@@ -471,15 +478,16 @@ let rec execute_bytewise (ctx : context) ~(depth : int) ~(self : U.t)
                 with
                 | Returned runtime ->
                     State.set_code ctx.state new_addr runtime;
+                    State.commit ctx.state mark;
                     ctx.effects := E_create new_addr :: !(ctx.effects);
                     returndata := "";
                     push new_addr
                 | Reverted data ->
-                    State.restore ctx.state snap;
+                    State.restore ctx.state mark;
                     returndata := data;
                     push U.zero
                 | Failed _ ->
-                    State.restore ctx.state snap;
+                    State.restore ctx.state mark;
                     returndata := "";
                     push U.zero))
           end
@@ -498,7 +506,7 @@ let rec execute_bytewise (ctx : context) ~(depth : int) ~(self : U.t)
             raise (Evm_error "value CALL in static context");
           if depth >= max_call_depth then push U.zero
           else begin
-            let snap = State.snapshot ctx.state in
+            let mark = State.snapshot ctx.state in
             let sub_self, sub_code, sub_caller, sub_value, sub_static =
               match op with
               | Opcode.CALL -> (target, target, self, value, static)
@@ -513,7 +521,9 @@ let rec execute_bytewise (ctx : context) ~(depth : int) ~(self : U.t)
               else Ok ()
             in
             match transfer_res with
-            | Error _ -> push U.zero
+            | Error _ ->
+                State.commit ctx.state mark;
+                push U.zero
             | Ok () ->
                 let o =
                   if String.length (State.code ctx.state sub_code) = 0 then
@@ -530,6 +540,7 @@ let rec execute_bytewise (ctx : context) ~(depth : int) ~(self : U.t)
                 in
                 (match o with
                 | Returned data ->
+                    State.commit ctx.state mark;
                     returndata := data;
                     (* NB: only min(out_len, |data|) bytes are written;
                        this is exactly the staticcall output-buffer
@@ -539,14 +550,14 @@ let rec execute_bytewise (ctx : context) ~(depth : int) ~(self : U.t)
                       (String.sub data 0 wlen);
                     push U.one
                 | Reverted data ->
-                    State.restore ctx.state snap;
+                    State.restore ctx.state mark;
                     returndata := data;
                     let wlen = min (as_offset out_len) (String.length data) in
                     Memory.store_bytes mem (as_offset out_off)
                       (String.sub data 0 wlen);
                     push U.zero
                 | Failed _ ->
-                    State.restore ctx.state snap;
+                    State.restore ctx.state mark;
                     returndata := "";
                     push U.zero)
           end
@@ -1178,14 +1189,16 @@ let h_create is_create2 f _ =
   let initcode = Memory.load_bytes f.f_mem (as_offset off) (as_offset len) in
   if f.f_depth >= max_call_depth then fpush_zero f
   else begin
-    let creator_acct = State.account ctx.state f.f_self in
     let new_addr =
-      State.contract_address ~creator:f.f_self ~nonce:creator_acct.nonce
+      State.contract_address ~creator:f.f_self
+        ~nonce:(State.nonce ctx.state f.f_self)
     in
     State.bump_nonce ctx.state f.f_self;
-    let snap = State.snapshot ctx.state in
+    let mark = State.snapshot ctx.state in
     match State.transfer ctx.state ~src:f.f_self ~dst:new_addr ~value with
-    | Error _ -> fpush_zero f
+    | Error _ ->
+        State.commit ctx.state mark;
+        fpush_zero f
     | Ok () -> (
         State.set_code ctx.state new_addr initcode;
         match
@@ -1197,15 +1210,16 @@ let h_create is_create2 f _ =
         with
         | Returned runtime ->
             State.set_code ctx.state new_addr runtime;
+            State.commit ctx.state mark;
             ctx.effects := E_create new_addr :: !(ctx.effects);
             f.f_returndata <- "";
             fpush_blit f new_addr
         | Reverted data ->
-            State.restore ctx.state snap;
+            State.restore ctx.state mark;
             f.f_returndata <- data;
             fpush_zero f
         | Failed _ ->
-            State.restore ctx.state snap;
+            State.restore ctx.state mark;
             f.f_returndata <- "";
             fpush_zero f)
   end
@@ -1228,7 +1242,7 @@ let h_call (opv : Opcode.t) f _ =
     raise (Evm_error "value CALL in static context");
   if f.f_depth >= max_call_depth then fpush_zero f
   else begin
-    let snap = State.snapshot ctx.state in
+    let mark = State.snapshot ctx.state in
     let sub_self, sub_code, sub_caller, sub_value, sub_static =
       match opv with
       | Opcode.CALL -> (target, target, f.f_self, value, f.f_static)
@@ -1244,7 +1258,9 @@ let h_call (opv : Opcode.t) f _ =
       else Ok ()
     in
     match transfer_res with
-    | Error _ -> fpush_zero f
+    | Error _ ->
+        State.commit ctx.state mark;
+        fpush_zero f
     | Ok () -> (
         let o =
           if String.length (State.code ctx.state sub_code) = 0 then
@@ -1261,6 +1277,7 @@ let h_call (opv : Opcode.t) f _ =
         in
         match o with
         | Returned data ->
+            State.commit ctx.state mark;
             f.f_returndata <- data;
             (* NB: only min(out_len, |data|) bytes are written; this
                is exactly the staticcall output-buffer subtlety of
@@ -1270,14 +1287,14 @@ let h_call (opv : Opcode.t) f _ =
               (String.sub data 0 wlen);
             fpush_bool f true
         | Reverted data ->
-            State.restore ctx.state snap;
+            State.restore ctx.state mark;
             f.f_returndata <- data;
             let wlen = min (as_offset out_len) (String.length data) in
             Memory.store_bytes f.f_mem (as_offset out_off)
               (String.sub data 0 wlen);
             fpush_zero f
         | Failed _ ->
-            State.restore ctx.state snap;
+            State.restore ctx.state mark;
             f.f_returndata <- "";
             fpush_zero f)
   end
@@ -1399,6 +1416,8 @@ let () =
 type call_result = {
   outcome : outcome;
   tx_trace : trace_entry list;
+      (** executed instructions, oldest first; empty unless the call
+          was made with [~trace:true] *)
   tx_logs : log_entry list;  (** emitted events (empty if rolled back) *)
   tx_effects : effect list;
       (** chain-observable effects, chronological (empty if rolled
@@ -1408,9 +1427,11 @@ type call_result = {
 
 (** Top-level message call (a transaction's execution). Rolls back all
     state changes — and drops emitted logs — if the call reverts or
-    fails. [engine] selects the executor (default {!Decoded}); both
-    engines produce identical results, bit for bit. *)
-let call_full ?(engine = Decoded) ?(gas = 10_000_000)
+    fails, or if an exception escapes it. [engine] selects the executor
+    (default {!Decoded}); both engines produce identical results, bit
+    for bit. [trace] (default [false]) records the per-instruction
+    trace; untraced execution stores nothing per step. *)
+let call_full ?(engine = Decoded) ?(trace = false) ?(gas = 10_000_000)
     ?(max_steps = 2_000_000) ?(block_number = U.of_int 1)
     ?(timestamp = U.of_int 1_600_000_000) (state : State.t) ~(caller : U.t)
     ~(target : U.t) ~(value : U.t) ~(calldata : string) : call_result =
@@ -1418,31 +1439,36 @@ let call_full ?(engine = Decoded) ?(gas = 10_000_000)
     { state; gas; origin = caller; gas_price = U.one; block_number;
       timestamp; chain_id = U.of_int 3 (* Ropsten *);
       trace = ref []; tmeta = [||]; faddr = [||]; nframes = 0;
-      trace_len = 0; max_trace = 1_000_000;
+      trace_len = 0; max_trace = (if trace then 1_000_000 else 0);
       steps = 0; max_steps; logs = ref []; effects = ref [] }
   in
-  let snap = State.snapshot state in
-  (match State.transfer state ~src:caller ~dst:target ~value with
-  | Error _ -> ()
-  | Ok () -> ());
+  let mark = State.snapshot state in
   let outcome =
-    if String.length (State.code state target) = 0 then Returned ""
-    else
-      try
-        match engine with
-        | Decoded ->
-            execute_decoded ctx ~depth:0 ~self:target ~code_addr:target
-              ~caller ~callvalue:value ~calldata ~static:false
-        | Bytewise ->
-            execute_bytewise ctx ~depth:0 ~self:target ~code_addr:target
-              ~caller ~callvalue:value ~calldata ~static:false
-      with Evm_error msg -> Failed msg
+    try
+      ignore (State.transfer state ~src:caller ~dst:target ~value);
+      if String.length (State.code state target) = 0 then Returned ""
+      else
+        try
+          match engine with
+          | Decoded ->
+              execute_decoded ctx ~depth:0 ~self:target ~code_addr:target
+                ~caller ~callvalue:value ~calldata ~static:false
+          | Bytewise ->
+              execute_bytewise ctx ~depth:0 ~self:target ~code_addr:target
+                ~caller ~callvalue:value ~calldata ~static:false
+        with Evm_error msg -> Failed msg
+    with e ->
+      let bt = Printexc.get_raw_backtrace () in
+      State.restore state mark;
+      Printexc.raise_with_backtrace e bt
   in
   let logs, effects =
     match outcome with
-    | Returned _ -> (List.rev !(ctx.logs), List.rev !(ctx.effects))
+    | Returned _ ->
+        State.commit state mark;
+        (List.rev !(ctx.logs), List.rev !(ctx.effects))
     | Reverted _ | Failed _ ->
-        State.restore state snap;
+        State.restore state mark;
         ([], [])
   in
   let tx_trace =
@@ -1468,17 +1494,3 @@ let call_full ?(engine = Decoded) ?(gas = 10_000_000)
   in
   { outcome; tx_trace; tx_logs = logs; tx_effects = effects;
     gas_used = max 0 (gas - ctx.gas) }
-
-let call ?engine ?gas ?max_steps ?block_number ?timestamp state ~caller
-    ~target ~value ~calldata : outcome * trace_entry list =
-  let r =
-    call_full ?engine ?gas ?max_steps ?block_number ?timestamp state ~caller
-      ~target ~value ~calldata
-  in
-  (r.outcome, r.tx_trace)
-
-(** Did the trace actually execute a SELFDESTRUCT in [addr]'s context? *)
-let trace_selfdestructed (trace : trace_entry list) (addr : U.t) : bool =
-  List.exists
-    (fun t -> t.t_op = Opcode.SELFDESTRUCT && U.equal t.t_addr addr)
-    trace

@@ -114,7 +114,7 @@ let print_e1 (r : e1_result) =
   Printf.printf "flagged (accessible/tainted sd) %d\n" r.e1_flagged;
   Printf.printf "vulnerability pinpointed        %d (rest: no public entry point)\n"
     r.e1_pinpointed;
-  Printf.printf "destroyed (trace-verified)      %d (%.1f%% of flagged)\n"
+  Printf.printf "destroyed (post-state)          %d (%.1f%% of flagged)\n"
     r.e1_destroyed r.e1_destroyed_pct_of_flagged;
   Printf.printf "transactions sent               %d\n" r.e1_txs;
   Printf.printf

@@ -56,6 +56,7 @@ type t = {
   mutable journal_ok : bool;    (* cleared on journal I/O failure *)
   mutable blocks_since_ckpt : int;
   mutable active : bool;
+  mutable sub : Testnet.subscription option; (* set by [attach] *)
   mutable last_block : int;
   mutable inflight : int;
   (* cumulative counters (telemetry reads them under [mu]) *)
@@ -328,7 +329,7 @@ let obs_of_block (b : Testnet.block) : J.obs =
 (* Process one sealed block: compute the dirty set under the mutex,
    collect the jobs, run them after release (a job's epilogue re-takes
    the mutex; and inline execution must not hold it). Called from the
-   chain's sealing thread (the on_block observer) and from catch-up. *)
+   chain's sealing thread (the subscription), catch-up included. *)
 let handle_block (t : t) (b : Testnet.block) =
   let jobs =
     locked t (fun () ->
@@ -387,20 +388,20 @@ let make ?pool ?(cfg = Config.default) ?(timeout_s = 120.0)
     checkpoint_every = max 1 checkpoint_every;
     journal_ok = journal <> None;
     blocks_since_ckpt = 0;
-    active = true;
+    active = true; sub = None;
     last_block = 0; inflight = 0; blocks_seen = 0; deployed = 0;
     invalidations = 0; analyses = 0; reanalyses = 0; destroyed = 0;
     dirty_last = 0; lag_total = 0; lag_verdicts = 0;
     quarantined_now = 0; quarantine_drops = 0; quarantine_probes = 0;
     recovered_verdicts = 0; replayed_events = 0; journal_errors = 0 }
 
-(* tail first, then catch up from [t.last_block]: handle_block's
-   monotonic block-number guard makes the two streams overlap-safe, so
-   no block is lost or processed twice *)
+(* One subscription from [t.last_block] catches up and then tails;
+   the index's cursor is what lets the chain drop blocks it has seen.
+   handle_block's monotonic guard skips blocks at or below the cursor
+   (a chain behind a recovered cursor seals them again). *)
 let attach (t : t) =
-  Testnet.on_block t.chain (fun b -> handle_block t b);
-  List.iter (fun b -> handle_block t b)
-    (Testnet.blocks_since t.chain t.last_block);
+  t.sub <-
+    Some (Testnet.subscribe t.chain ~cursor:t.last_block (handle_block t));
   Telemetry.register_source "index" (fun () -> stats t)
 
 let create ?pool ?cfg ?timeout_s (chain : Testnet.t) : t =
@@ -512,7 +513,10 @@ let contents (t : t) : (U.t * string * P.result) list =
 
 let last_block (t : t) = locked t (fun () -> t.last_block)
 
+(* Unsubscribe before deactivating: a block sealed in between is
+   still ingested, so the chain never drops a block the index skipped. *)
 let detach (t : t) =
+  Option.iter (Testnet.unsubscribe t.chain) t.sub;
   locked t (fun () -> t.active <- false);
   Telemetry.unregister_source "index"
 

@@ -4,10 +4,12 @@
     The paper's evaluation is a one-shot sweep over a blockchain
     snapshot (§6); a deployment-tracking service instead maintains a
     continuously-updated index driven by the block stream. An
-    {!t} attaches to a {!Ethainter_chain.Testnet}, consumes its sealed
-    blocks (catching up from genesis, then tailing via the
-    block-observation hook) and keeps one analysis verdict per live
-    contract current.
+    {!t} attaches to a {!Ethainter_chain.Testnet} through one
+    cursor-holding subscription ({!Ethainter_chain.Testnet.subscribe}:
+    catch up on the kept blocks past its cursor, then tail) and keeps
+    one analysis verdict per live contract current. While it is
+    attached the chain keeps no block history: each block is dropped
+    once delivered.
 
     {2 Dirty-set computation}
 
@@ -103,8 +105,8 @@ val create :
   ?cfg:Ethainter_core.Config.t ->
   ?timeout_s:float ->
   Ethainter_chain.Testnet.t -> t
-(** Attach an index to a chain: catch up on every already-sealed block
-    ([blocks_since 0]), then tail via the block-observation hook.
+(** Attach an index to a chain: subscribe from cursor 0, catching up
+    on every already-sealed block, then tail.
     Analysis jobs run on [pool] when given — sharing the daemon's
     worker domains, deadline and fault machinery via
     {!S.analyze_request} — with {b inline fallback}: a submission
@@ -119,7 +121,9 @@ val create :
     The chain must not seal blocks concurrently with [create].
 
     A [create]d index is {b ephemeral} — nothing is journaled; use
-    {!recover} for a durable one. *)
+    {!recover} for a durable one.
+    @raise Invalid_argument when the chain no longer keeps its early
+    blocks (a subscriber has received and released them). *)
 
 val recover :
   ?pool:S.Pool.t ->
@@ -132,17 +136,20 @@ val recover :
     reconstruct state from the newest valid checkpoint plus journal
     replay ({!Journal.recover} — torn tails tolerated, corrupt newest
     checkpoint falls back a generation), requeue every entry that was
-    dirty at the crash, then catch up from the persisted cursor via
-    [blocks_since] and tail the chain — exactly {!create}'s attachment
-    semantics from a warm start. An empty or missing directory starts
-    fresh. All subsequent observations are journaled; every
-    [checkpoint_every] blocks (default 256) the journal is compacted
-    into a fsync'd checkpoint.
+    dirty at the crash, then subscribe from the persisted cursor —
+    catching up on the blocks the chain kept past it — and tail:
+    exactly {!create}'s attachment semantics from a warm start. A
+    cursor at or past the chain head needs no kept block. An empty or
+    missing directory starts fresh. All subsequent observations are
+    journaled; every [checkpoint_every] blocks (default 256) the
+    journal is compacted into a fsync'd checkpoint.
 
     The chain handed in must be (a replay of) the same chain the
     journal was written against — deployments are matched by address
     and bytecode, so a diverging chain surfaces as re-analysis, never
-    as a wrong verdict served. *)
+    as a wrong verdict served.
+    @raise Invalid_argument when the chain no longer keeps a block
+    past the persisted cursor. *)
 
 val close : t -> unit
 (** Graceful shutdown: {!detach}, {!drain} (in-flight verdicts land),
@@ -195,6 +202,8 @@ val stats : t -> (string * float) list
     [journal_wal_bytes]). *)
 
 val detach : t -> unit
-(** Stop consuming blocks (the chain-side observer becomes a no-op),
-    unregister the telemetry source and drop no data. Idempotent.
-    In-flight jobs still complete; {!drain} remains valid. *)
+(** Stop consuming blocks: release the chain subscription (the chain
+    keeps no reference to the index afterwards, and keeps blocks again
+    until a subscriber returns), unregister the telemetry source and
+    drop no data. Idempotent. In-flight jobs still complete; {!drain}
+    remains valid. *)

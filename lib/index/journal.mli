@@ -37,8 +37,8 @@
     [kill -9] — nothing is lost, because data handed to [write(2)]
     survives the writer. Against power loss, the un-fsynced journal
     tail may be lost; recovery then resumes from an older cursor and
-    the index re-derives the difference from the chain
-    ([blocks_since cursor]) — verdict content is unaffected, only
+    the index re-derives the difference from the chain (a
+    subscription from that cursor) — verdict content is unaffected, only
     re-analysis work is repeated. {b Single writer}: the directory
     must belong to exactly one live index; two concurrent writers
     interleave records and corrupt each other (there is deliberately

@@ -21,8 +21,12 @@
        arguments, over several escalation rounds (composite attacks
        like §2's need earlier calls to install the attacker as
        user/admin/owner before the kill succeeds);
-    4. declare success only if the victim's instruction trace executed
-       [SELFDESTRUCT] — checked exactly as the paper does. *)
+    4. declare success only if the victim is gone from the post-state
+       after a transaction ({!Ethainter_chain.Testnet.is_alive} is
+       false). The paper checks the instruction trace for an executed
+       [SELFDESTRUCT]; the post-state is the stricter judge, because a
+       [SELFDESTRUCT] inside an inner call that later reverted shows in
+       the trace (and in the receipt's effects) yet destroys nothing. *)
 
 module U = Ethainter_word.Uint256
 module Op = Ethainter_evm.Opcode
@@ -36,7 +40,7 @@ type attempt = {
 }
 
 and outcome =
-  | Destroyed                 (** SELFDESTRUCT executed; contract gone *)
+  | Destroyed                 (** contract gone from the post-state *)
   | NoPublicEntry             (** flagged statement unreachable from entry *)
   | NotExploited              (** calls went through but no destruction *)
   | NothingToDo               (** no supported vulnerability in reports *)
@@ -118,12 +122,10 @@ let attack ?(rounds = 4) (net : T.t) ~(attacker : U.t) ~(victim : U.t)
       let fire sel args =
         if not !destroyed then begin
           incr txs;
-          let r =
-            T.transact net ~from:attacker ~to_:victim
-              (selector_calldata sel args)
-          in
-          if Ethainter_evm.Interp.trace_selfdestructed r.T.trace victim then
-            destroyed := true
+          ignore
+            (T.transact net ~from:attacker ~to_:victim
+               (selector_calldata sel args));
+          if not (T.is_alive net victim) then destroyed := true
         end
       in
       (* escalation rounds: sweep all selectors; state changes from

@@ -289,14 +289,13 @@ let prop_symex_matches_interp =
                  let contract = U.of_int 0xC0DE in
                  Ethainter_evm.State.set_code state contract code;
                  Ethainter_evm.State.set_balance state contract (U.of_int 5);
-                 let _, trace =
-                   Ethainter_evm.Interp.call state ~caller:(U.of_int 1)
-                     ~target:contract ~value:U.zero
-                     ~calldata:(U.to_bytes x)
-                 in
+                 ignore
+                   (Ethainter_evm.Interp.call_full state ~caller:(U.of_int 1)
+                      ~target:contract ~value:U.zero
+                      ~calldata:(U.to_bytes x));
                  let expected = U.add (U.mul x (U.of_int a)) (U.of_int b) in
                  (* the destroyed balance went to the computed address *)
-                 Ethainter_evm.Interp.trace_selfdestructed trace contract
+                 Ethainter_evm.State.is_destroyed state contract
                  && U.equal sym_val expected
                  && U.equal
                       (Ethainter_evm.State.balance state

@@ -169,7 +169,12 @@ let test_blocks_carry_effects () =
   let addr = deploy_blocky net a in
   ignore (T.call_fn net ~from:a ~to_:addr "bump()" []);
   ignore (T.call_fn net ~from:a ~to_:addr "kill()" []);
-  let blocks = T.blocks_since net 0 in
+  (* nothing subscribed yet, so every block is kept: a subscriber from
+     genesis catches up on all of them *)
+  let seen = ref [] in
+  let sub = T.subscribe net ~cursor:0 (fun b -> seen := b :: !seen) in
+  T.unsubscribe net sub;
+  let blocks = List.rev !seen in
   Alcotest.(check bool) "one block per transaction" true
     (List.length blocks >= 3);
   (* ascending, consecutive numbering *)
@@ -202,8 +207,12 @@ let test_on_block_matches_pull () =
   T.on_block net (fun b -> seen := b :: !seen);
   let addr = deploy_blocky net a in
   ignore (T.call_fn net ~from:a ~to_:addr "bump()" []);
+  (* the pull side: a late subscriber's catch-up from the same mark *)
+  let pulled = ref [] in
+  let sub = T.subscribe net ~cursor:mark (fun b -> pulled := b :: !pulled) in
+  T.unsubscribe net sub;
   Alcotest.(check bool) "push stream equals pull stream" true
-    (List.rev !seen = T.blocks_since net mark)
+    (!seen <> [] && !seen = !pulled)
 
 let test_in_block_batches () =
   let net, a, _ = funded_net () in
@@ -211,20 +220,59 @@ let test_in_block_batches () =
   let before = T.block_number net in
   let sealed = ref [] in
   T.on_block net (fun b -> sealed := b :: !sealed);
-  T.in_block net (fun () ->
-      ignore (T.call_fn net ~from:a ~to_:addr "bump()" []);
-      ignore (T.call_fn net ~from:a ~to_:addr "bump()" []));
+  let r1, r2 =
+    T.in_block net (fun () ->
+        let r1 = T.call_fn net ~from:a ~to_:addr "bump()" [] in
+        (r1, T.call_fn net ~from:a ~to_:addr "bump()" []))
+  in
   Alcotest.(check int) "one block for the batch" (before + 1)
     (T.block_number net);
   match !sealed with
   | [ b ] ->
-      Alcotest.(check int) "both receipts in the block" 2
-        (List.length b.T.b_receipts);
+      Alcotest.(check (list int)) "both transactions in the block"
+        [ b.T.b_number; b.T.b_number ] [ r1.T.block; r2.T.block ];
       (* the two writes to the same slot are deduplicated *)
       Alcotest.(check int) "writes deduplicated" 1
         (List.length
            (List.filter (fun (c, _) -> U.equal c addr) b.T.b_storage_writes))
   | l -> Alcotest.failf "expected 1 sealed block, got %d" (List.length l)
+
+let refused f =
+  match f () with _ -> false | exception Invalid_argument _ -> true
+
+let test_history_retention () =
+  let net, a, _ = funded_net () in
+  let addr = deploy_blocky net a in
+  let bump () = ignore (T.call_fn net ~from:a ~to_:addr "bump()" []) in
+  (* a plain observer pins nothing, but with no subscriber every block
+     is kept for a future one *)
+  T.on_block net (fun _ -> ());
+  bump ();
+  let got = ref [] in
+  let s1 = T.subscribe net ~cursor:0 (fun b -> got := b.T.b_number :: !got) in
+  Alcotest.(check (list int)) "caught up from genesis" [ 1; 2 ] (List.rev !got);
+  bump ();
+  Alcotest.(check (list int)) "then tails" [ 1; 2; 3 ] (List.rev !got);
+  (* the subscriber has every block: none is kept *)
+  Alcotest.(check bool) "released blocks refused" true
+    (refused (fun () -> T.subscribe net ~cursor:0 (fun _ -> ())));
+  let s2 = T.subscribe net ~cursor:(T.block_number net) (fun _ -> ()) in
+  T.unsubscribe net s1;
+  T.unsubscribe net s2;
+  T.unsubscribe net s2;
+  (* no subscriber left: blocks are kept again from here on *)
+  let head = T.block_number net in
+  bump ();
+  bump ();
+  Alcotest.(check bool) "blocks before the gap refused" true
+    (refused (fun () -> T.subscribe net ~cursor:(head - 1) (fun _ -> ())));
+  let late = ref [] in
+  let s3 =
+    T.subscribe net ~cursor:head (fun b -> late := b.T.b_number :: !late)
+  in
+  Alcotest.(check (list int)) "kept since the last subscriber left"
+    [ head + 1; head + 2 ] (List.rev !late);
+  T.unsubscribe net s3
 
 let () =
   Alcotest.run "chain"
@@ -247,5 +295,7 @@ let () =
             test_blocks_carry_effects;
           Alcotest.test_case "push equals pull" `Quick
             test_on_block_matches_pull;
-          Alcotest.test_case "in_block batches" `Quick test_in_block_batches ] )
+          Alcotest.test_case "in_block batches" `Quick test_in_block_batches;
+          Alcotest.test_case "history kept only for subscribers" `Quick
+            test_history_retention ] )
     ]

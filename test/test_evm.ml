@@ -11,12 +11,19 @@ module I = Ethainter_evm.Interp
 let caller = U.of_int 0xCA11E4
 let contract = U.of_int 0xC0DE
 
+(* A traced top-level call: the outcome and the executed instructions. *)
+let call ?gas state ~caller ~target ~value ~calldata =
+  let r =
+    I.call_full ~trace:true ?gas state ~caller ~target ~value ~calldata
+  in
+  (r.I.outcome, r.I.tx_trace)
+
 (* Run [asm] as the code of [contract] with the given calldata; return
-   the outcome. *)
+   the outcome and the trace. *)
 let run ?(calldata = "") ?(value = U.zero) ?(state = State.create ()) asm =
   State.set_code state contract (B.assemble asm);
   State.set_balance state caller (U.of_string "1000000000000000000");
-  I.call state ~caller ~target:contract ~value ~calldata
+  call state ~caller ~target:contract ~value ~calldata
 
 (* A program returning one word. *)
 let returning_word body =
@@ -96,7 +103,7 @@ let test_storage () =
   State.set_code state contract
     (B.assemble
        (returning_word [ B.Push (U.of_int 7); B.Op Op.SLOAD ]));
-  let o, _ = I.call state ~caller ~target:contract ~value:U.zero ~calldata:"" in
+  let o, _ = call state ~caller ~target:contract ~value:U.zero ~calldata:"" in
   (match o with
   | I.Returned s -> check_u "sload" (U.of_bytes s) (U.of_int 42)
   | _ -> Alcotest.fail "sload failed")
@@ -178,7 +185,10 @@ let test_selfdestruct () =
   in
   (match outcome with I.Returned _ -> () | _ -> Alcotest.fail "sd failed");
   Alcotest.(check bool) "trace has selfdestruct" true
-    (I.trace_selfdestructed trace contract);
+    (List.exists
+       (fun (t : I.trace_entry) ->
+         t.I.t_op = Op.SELFDESTRUCT && U.equal t.I.t_addr contract)
+       trace);
   check_u "balance moved" (State.balance state beneficiary) (U.of_int 500);
   Alcotest.(check bool) "destroyed" true (State.is_destroyed state contract)
 
@@ -235,7 +245,7 @@ let test_deployer () =
   let runtime = B.assemble (returning_word [ B.Push (U.of_int 99) ]) in
   let state = State.create () in
   State.set_code state contract (B.deployer runtime);
-  let o, _ = I.call state ~caller ~target:contract ~value:U.zero ~calldata:"" in
+  let o, _ = call state ~caller ~target:contract ~value:U.zero ~calldata:"" in
   match o with
   | I.Returned code ->
       Alcotest.(check string) "deployer returns runtime"
@@ -339,7 +349,7 @@ let test_out_of_gas () =
   let state = State.create () in
   State.set_code state contract (B.assemble asm);
   let o, _ =
-    I.call ~gas:10_000 state ~caller ~target:contract ~value:U.zero
+    call ~gas:10_000 state ~caller ~target:contract ~value:U.zero
       ~calldata:""
   in
   match o with
@@ -416,6 +426,135 @@ let properties =
     diff_prop "GT" Op.GT (fun a b -> U.of_bool (U.gt a b));
   ]
 
+(* ---------------- state journal ---------------- *)
+
+(* Random nested snapshot/commit/restore scripts over every kind of
+   state write. Addresses 0-2 exist up front; writes to 3-5 create
+   accounts, which a restore must remove again. An [Abandon] opens a
+   mark and never closes it, as an exception unwinding through a call
+   frame does; the enclosing close must clean it up. *)
+type jwrite =
+  | J_balance of int * int
+  | J_nonce of int
+  | J_code of int * int
+  | J_slot of int * int * int (* value 0 deletes the slot *)
+  | J_transfer of int * int * int
+  | J_destruct of int * int
+
+type jstep =
+  | J_write of jwrite
+  | J_scope of jstep list * bool (* true: commit, false: restore *)
+  | J_abandon of jstep list
+
+let j_addr i = U.of_int (0xACC0 + i)
+let j_word = [| U.zero; U.one; U.of_int 7; U.shift_left U.one 200 |]
+let j_key = [| U.zero; U.one; U.shift_left U.one 70 |]
+let j_code = [| ""; "\x60\x00"; "\x60\x01\x60\x02\x01" |]
+
+let j_apply st = function
+  | J_balance (a, v) -> State.set_balance st (j_addr a) j_word.(v)
+  | J_nonce a -> State.bump_nonce st (j_addr a)
+  | J_code (a, c) -> State.set_code st (j_addr a) j_code.(c)
+  | J_slot (a, k, v) -> State.sstore st (j_addr a) j_key.(k) j_word.(v)
+  | J_transfer (a, b, v) ->
+      ignore
+        (State.transfer st ~src:(j_addr a) ~dst:(j_addr b) ~value:j_word.(v))
+  | J_destruct (a, b) ->
+      State.selfdestruct st ~victim:(j_addr a) ~beneficiary:(j_addr b)
+
+let j_gen_write =
+  QCheck.Gen.(
+    let a = int_bound 5 and v = int_bound 3 in
+    oneof
+      [ map2 (fun a v -> J_balance (a, v)) a v;
+        map (fun a -> J_nonce a) a;
+        map2 (fun a c -> J_code (a, c)) a (int_bound 2);
+        map3 (fun a k v -> J_slot (a, k, v)) a (int_bound 2) v;
+        map3 (fun a b v -> J_transfer (a, b, v)) a a (int_bound 2);
+        map2 (fun a b -> J_destruct (a, b)) a a ])
+
+let j_gen_steps =
+  QCheck.Gen.(
+    sized_size (int_bound 12)
+    @@ fix (fun self n ->
+           let write = map (fun w -> J_write w) j_gen_write in
+           let body = list_size (int_bound 5) (self (n / 2)) in
+           if n = 0 then write
+           else
+             frequency
+               [ (4, write);
+                 (2, map2 (fun b c -> J_scope (b, c)) body bool);
+                 (1, map (fun b -> J_abandon b) body) ]))
+
+let rec j_show = function
+  | J_write _ -> "w"
+  | J_scope (b, c) ->
+      Printf.sprintf "%s(%s)" (if c then "commit" else "restore")
+        (String.concat " " (List.map j_show b))
+  | J_abandon b ->
+      Printf.sprintf "abandon(%s)" (String.concat " " (List.map j_show b))
+
+let j_fixture () =
+  let st = State.create () in
+  for i = 0 to 2 do
+    State.set_balance st (j_addr i) (U.of_int 100);
+    State.set_code st (j_addr i) j_code.(i);
+    State.sstore st (j_addr i) U.one (U.of_int (i + 1))
+  done;
+  st
+
+(* Run [steps]; every restore must bring back the world as a copy taken
+   at its snapshot shows it. *)
+let rec j_run st steps =
+  List.for_all
+    (function
+      | J_write w ->
+          j_apply st w;
+          true
+      | J_abandon body ->
+          ignore (State.snapshot st);
+          j_run st body
+      | J_scope (body, commit) ->
+          let before = State.dump (State.copy st) in
+          let m = State.snapshot st in
+          let ok = j_run st body in
+          if commit then (
+            State.commit st m;
+            ok)
+          else (
+            State.restore st m;
+            ok && State.dump st = before))
+    steps
+
+let test_journal_property =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"restore = copy at snapshot; empty after outermost"
+       ~count:500
+       (QCheck.make
+          ~print:(fun (s, c) -> j_show (J_scope (s, c)))
+          QCheck.Gen.(pair (list_size (int_bound 6) j_gen_steps) bool))
+       (fun (steps, commit) ->
+         let st = j_fixture () in
+         let unlogged = State.journal_length st = 0 in
+         let ok = j_run st [ J_scope (steps, commit) ] in
+         unlogged && ok && State.journal_length st = 0))
+
+let test_journal_outermost_commit () =
+  let st = j_fixture () in
+  let m = State.snapshot st in
+  State.sstore st (j_addr 0) U.one U.zero;
+  State.set_balance st (j_addr 4) (U.of_int 9);
+  let inner = State.snapshot st in
+  State.bump_nonce st (j_addr 4);
+  State.commit st inner;
+  Alcotest.(check bool) "inner commit keeps records for the outer mark" true
+    (State.journal_length st > 0);
+  State.commit st m;
+  Alcotest.(check int) "outermost commit empties the journal" 0
+    (State.journal_length st);
+  Alcotest.(check int) "writes kept" 1 (State.nonce st (j_addr 4));
+  check_u "zero write deleted the slot" (State.sload st (j_addr 0) U.one) U.zero
+
 let () =
   Alcotest.run "evm"
     [ ( "interpreter",
@@ -455,4 +594,8 @@ let () =
         [ Alcotest.test_case "disassembler" `Quick test_disassembler_roundtrip;
           Alcotest.test_case "jumpdest in push data" `Quick
             test_jumpdests_in_push_data ] );
-      ("differential", properties) ]
+      ("differential", properties);
+      ( "journal",
+        [ test_journal_property;
+          Alcotest.test_case "outermost commit" `Quick
+            test_journal_outermost_commit ] ) ]

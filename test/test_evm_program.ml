@@ -206,17 +206,6 @@ let effect_str = function
   | I.E_create a -> "create " ^ U.to_hex a
   | I.E_selfdestruct a -> "selfdestruct " ^ U.to_hex a
 
-let state_fingerprint (st : State.t) : string =
-  State.snapshot st
-  |> List.map (fun (addr, (bal, nonce, code, slots, destroyed), _prog) ->
-         let slots =
-           List.map (fun (k, v) -> U.to_hex k ^ "=" ^ U.to_hex v) slots
-           |> List.sort compare |> String.concat ","
-         in
-         Printf.sprintf "%s|%s|%d|%S|%s|%b" (U.to_hex addr) (U.to_hex bal)
-           nonce code slots destroyed)
-  |> List.sort compare |> String.concat ";"
-
 (* Run the same call under both engines on identically-prepared fresh
    states; every observable must agree bit for bit. *)
 let run_both ?gas ?max_steps ~(name : string) ~(setup : State.t -> unit)
@@ -224,7 +213,10 @@ let run_both ?gas ?max_steps ~(name : string) ~(setup : State.t -> unit)
   let go engine =
     let st = State.create () in
     setup st;
-    let r = I.call_full ~engine ?gas ?max_steps st ~caller ~target ~value ~calldata in
+    let r =
+      I.call_full ~engine ~trace:true ?gas ?max_steps st ~caller ~target ~value
+        ~calldata
+    in
     let trace =
       List.map
         (fun (t : I.trace_entry) ->
@@ -241,7 +233,7 @@ let run_both ?gas ?max_steps ~(name : string) ~(setup : State.t -> unit)
         r.I.tx_logs
     in
     ( outcome_str r.I.outcome, r.I.gas_used, trace, logs,
-      List.map effect_str r.I.tx_effects, state_fingerprint st )
+      List.map effect_str r.I.tx_effects, State.dump st )
   in
   let od, gd, td, ld, ed, sd = go I.Decoded in
   let ob, gb, tb, lb, eb, sb = go I.Bytewise in
@@ -402,37 +394,38 @@ let test_testnet_replay_differential () =
      engine: every receipt must agree *)
   let insts = G.mainnet ~seed:21 ~size:6 () in
   let receipt_fp (r : T.receipt) =
-    Printf.sprintf "%s>%s created=%s %s gas=%d trace=%d logs=%d effects=%s"
+    Printf.sprintf "%s>%s created=%s %s gas=%d logs=%d effects=%s"
       (U.to_hex r.T.from)
       (match r.T.to_ with Some a -> U.to_hex a | None -> "-")
       (match r.T.created with Some a -> U.to_hex a | None -> "-")
-      (outcome_str r.T.outcome) r.T.gas_used (List.length r.T.trace)
-      (List.length r.T.logs)
+      (outcome_str r.T.outcome) r.T.gas_used (List.length r.T.logs)
       (String.concat "," (List.map effect_str r.T.effects))
   in
   let run engine =
     let net = T.create ~engine () in
     let from = T.account_of_seed "alice" in
     T.fund_account net from (U.of_string "100000000000000000000000");
-    let addrs =
-      List.filter_map
+    let deploys =
+      List.map
         (fun (i : G.instance) ->
-          (T.deploy net ~from ~value:i.G.i_eth_held i.G.i_deploy).T.created)
+          T.deploy net ~from ~value:i.G.i_eth_held i.G.i_deploy)
         insts
     in
-    List.iter
-      (fun a ->
-        let p = Decomp.decompile (State.code (T.state net) a) in
-        List.iter
-          (fun s ->
-            ignore
-              (T.transact net ~from ~to_:a
-                 (Kill.selector_calldata s [ U.of_int 5 ])))
-          (take 3 (Kill.harvest_selectors p)))
-      addrs;
-    T.blocks_since net 0
-    |> List.concat_map (fun (b : T.block) -> b.T.b_receipts)
-    |> List.map receipt_fp
+    let calls =
+      List.concat_map
+        (fun (d : T.receipt) ->
+          match d.T.created with
+          | None -> []
+          | Some a ->
+              let p = Decomp.decompile (State.code (T.state net) a) in
+              List.map
+                (fun s ->
+                  T.transact net ~from ~to_:a
+                    (Kill.selector_calldata s [ U.of_int 5 ]))
+                (take 3 (Kill.harvest_selectors p)))
+        deploys
+    in
+    List.map receipt_fp (deploys @ calls)
   in
   Alcotest.(check (list string))
     "replay receipts identical" (run I.Bytewise) (run I.Decoded)

@@ -212,6 +212,43 @@ let test_incremental_equals_batch () =
     (List.combine live batch);
   Idx.detach idx
 
+(* ---------- bounded history ---------- *)
+
+let refused f =
+  match f () with _ -> false | exception Invalid_argument _ -> true
+
+let test_bounded_history () =
+  let net, boss = funded "idx-bounded" in
+  let addr = deploy_tag net boss 700 in
+  let idx = Idx.create net in
+  for _ = 1 to 1000 do
+    ignore (T.call_fn net ~from:boss ~to_:addr "ping()" [])
+  done;
+  Idx.drain idx;
+  Alcotest.(check int) "index followed every block" (T.block_number net)
+    (Idx.last_block idx);
+  (* the index has received every block, so the chain kept none *)
+  Alcotest.(check bool) "subscribing from genesis refused" true
+    (refused (fun () -> T.subscribe net ~cursor:0 (fun _ -> ())));
+  Idx.detach idx
+
+let test_closed_index_collectable () =
+  let net, boss = funded "idx-gc" in
+  let w = Weak.create 1 in
+  let[@inline never] attach_and_close () =
+    let idx = Idx.create net in
+    ignore (deploy_tag net boss 701);
+    Idx.drain idx;
+    Idx.close idx;
+    Weak.set w 0 (Some idx)
+  in
+  attach_and_close ();
+  (* the chain lives on and keeps sealing blocks *)
+  ignore (deploy_tag net boss 702);
+  Gc.full_major ();
+  Alcotest.(check bool) "closed index collected" false (Weak.check w 0);
+  Alcotest.(check int) "chain still alive" 2 (T.block_number net)
+
 (* ---------- telemetry codec ---------- *)
 
 let test_telemetry_codec_roundtrip () =
@@ -335,6 +372,11 @@ let () =
       ( "differential",
         [ Alcotest.test_case "incremental == batch" `Quick
             test_incremental_equals_batch ] );
+      ( "history",
+        [ Alcotest.test_case "bounded: nothing kept behind the index" `Quick
+            test_bounded_history;
+          Alcotest.test_case "closed index is collectable" `Quick
+            test_closed_index_collectable ] );
       ( "telemetry",
         [ Alcotest.test_case "codec roundtrip" `Quick
             test_telemetry_codec_roundtrip ] );

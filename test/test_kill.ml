@@ -1,5 +1,6 @@
 (* Ethainter-Kill tests: selector harvesting, the escalation sweep,
-   trace-verified destruction, and the no-public-entry giveup path. *)
+   post-state-verified destruction (a SELFDESTRUCT undone by an inner
+   revert does not count), and the no-public-entry giveup path. *)
 
 module U = Ethainter_word.Uint256
 module T = Ethainter_chain.Testnet
@@ -116,6 +117,83 @@ contract C { function m(address d) public { delegatecall(d); } }|} in
   let a = K.attack net ~attacker ~victim reports in
   Alcotest.(check bool) "unsupported kind" true (a.K.a_outcome = K.NothingToDo)
 
+(* A SELFDESTRUCT inside an inner call that later reverts destroys
+   nothing. The victim's poke() calls a helper; the helper calls back
+   into the victim's kill path (open to the helper only), then reverts,
+   and poke() ignores the failure and returns. The receipt's effects
+   (like the instruction trace) show the SELFDESTRUCT in the victim's
+   context, yet the victim is alive with its balance: Kill must judge
+   from the post-state. *)
+let test_kill_inner_revert_is_not_destruction () =
+  let module B = Ethainter_evm.Bytecode in
+  let module Op = Ethainter_evm.Opcode in
+  let module I = Ethainter_evm.Interp in
+  List.iter
+    (fun engine ->
+      let net = T.create ~engine () in
+      let deployer = T.account_of_seed "deployer" in
+      let attacker = T.account_of_seed "attacker" in
+      T.fund_account net deployer (U.of_string "1000000000000000000");
+      T.fund_account net attacker (U.of_string "1000000000000000000");
+      let deployed r =
+        match r.T.created with Some a -> a | None -> assert false
+      in
+      let victim =
+        deployed
+          (T.deploy net ~from:deployer ~value:(U.of_int 500)
+             (Ethainter_minisol.Codegen.compile_source {|
+contract Victim {
+  address owner;
+  address helper;
+  constructor() { owner = msg.sender; }
+  function setHelper(address h) public {
+    require(msg.sender == owner);
+    helper = h;
+  }
+  function poke() public { call_value(helper, 0); }
+  function kill() public { require(msg.sender == helper); selfdestruct(owner); }
+}|}))
+      in
+      let kill_sel =
+        U.shift_left
+          (U.of_bytes (Ethainter_crypto.Keccak.selector "kill()"))
+          224
+      in
+      let helper =
+        deployed
+          (T.deploy_runtime net ~from:deployer
+             (B.assemble
+                [ B.Push kill_sel; B.Push U.zero; B.Op Op.MSTORE;
+                  (* CALL victim.kill() with 4 bytes of calldata *)
+                  B.Push U.zero; B.Push U.zero; B.Push (U.of_int 4);
+                  B.Push U.zero; B.Push U.zero; B.Push victim; B.Op Op.GAS;
+                  B.Op Op.CALL; B.Op Op.POP;
+                  B.Push U.zero; B.Push U.zero; B.Op Op.REVERT ]))
+      in
+      Alcotest.(check bool) "helper installed" true
+        (T.succeeded
+           (T.call_fn net ~from:deployer ~to_:victim "setHelper(address)"
+              [ helper ]));
+      let probe = T.fork net in
+      let r = T.call_fn probe ~from:attacker ~to_:victim "poke()" [] in
+      Alcotest.(check bool) "poke() returns" true (T.succeeded r);
+      Alcotest.(check bool) "effects show the victim's SELFDESTRUCT" true
+        (List.mem (I.E_selfdestruct victim) r.T.effects);
+      Alcotest.(check bool) "yet the victim is alive" true
+        (T.is_alive probe victim);
+      let fake_report =
+        Ethainter_core.Vulns.
+          { r_kind = AccessibleSelfdestruct; r_pc = 0; r_block = 0;
+            r_orphan = false; r_composite = false; r_note = "" }
+      in
+      let a = K.attack net ~attacker ~victim [ fake_report ] in
+      Alcotest.(check bool) "not reported destroyed" true
+        (a.K.a_outcome = K.NotExploited);
+      Alcotest.(check bool) "victim alive" true (T.is_alive net victim);
+      Alcotest.(check string) "balance kept" (U.to_hex (U.of_int 500))
+        (U.to_hex (Ethainter_evm.State.balance (T.state net) victim)))
+    [ Ethainter_evm.Interp.Decoded; Ethainter_evm.Interp.Bytewise ]
+
 let test_campaign_stats () =
   let net = T.create () in
   let deployer = T.account_of_seed "deployer" in
@@ -162,4 +240,6 @@ let () =
             test_kill_no_public_entry;
           Alcotest.test_case "unsupported kinds" `Quick
             test_kill_nothing_to_do;
+          Alcotest.test_case "inner revert is not destruction" `Quick
+            test_kill_inner_revert_is_not_destruction;
           Alcotest.test_case "campaign stats" `Quick test_campaign_stats ] ) ]
