@@ -61,6 +61,10 @@ type t = {
           per guard per protected statement by the taint fixpoint,
           the detectors and the fact exporter, so answering it from
           the slice each time was a hot-path scan *)
+  guard_reads : (var, (var * slot_class) list) Hashtbl.t;
+      (** condition var -> {!guard_storage_reads}, precomputed for
+          every sliced guard: the taint fixpoint asks it for every
+          guarded, not-yet-reachable statement in every round *)
 }
 
 let program t = t.program
@@ -279,6 +283,31 @@ let slice_scrutinizes_sender (p : program) sender_derived ds_addr
       | _ -> false)
     slice
 
+(* Slot class of a storage address operand, given the data-address
+   table of {!compute_ds}. *)
+let slot_class_of (p : program) data_addr (addr : var) : slot_class =
+  match const_of p addr with
+  | Some c -> SConst c
+  | None -> (
+      match Hashtbl.find_opt data_addr addr with
+      | Some b -> SData b
+      | None -> SUnknown)
+
+(* Storage reads in a guard condition's slice, plus the condition
+   itself when it is a load (e.g. require(admins[k])). *)
+let slice_storage_reads (p : program) data_addr (slice : VarSet.t)
+    (cond : var) : (var * slot_class) list =
+  let read v =
+    match def p v with
+    | Some { s_op = TOp Op.SLOAD; s_args = [ a ]; s_res = Some r; _ } ->
+        Some (r, slot_class_of p data_addr a)
+    | _ -> None
+  in
+  VarSet.fold
+    (fun v acc -> match read v with Some x -> x :: acc | None -> acc)
+    slice []
+  @ Option.to_list (read cond)
+
 let compute (p : program) : t =
   let doms = Dominators.compute p in
   let sender_derived, ds_addr, data_addr = compute_ds p in
@@ -293,22 +322,20 @@ let compute (p : program) : t =
         gs)
     known_true;
   let sender_scrutiny = Hashtbl.create 32 in
+  let guard_reads = Hashtbl.create 32 in
   Hashtbl.iter
     (fun cond slice ->
       Hashtbl.replace sender_scrutiny cond
-        (slice_scrutinizes_sender p sender_derived ds_addr slice))
+        (slice_scrutinizes_sender p sender_derived ds_addr slice);
+      Hashtbl.replace guard_reads cond
+        (slice_storage_reads p data_addr slice cond))
     guard_slice;
   { program = p; doms; sender_derived; ds_addr; data_addr; known_true;
-    guard_slice; sender_scrutiny }
+    guard_slice; sender_scrutiny; guard_reads }
 
 (** Slot class of a storage address operand. *)
 let classify_slot (t : t) (addr : var) : slot_class =
-  match const_of t.program addr with
-  | Some c -> SConst c
-  | None -> (
-      match Hashtbl.find_opt t.data_addr addr with
-      | Some b -> SData b
-      | None -> SUnknown)
+  slot_class_of t.program t.data_addr addr
 
 (* Guard conditions are all pre-sliced by {!compute}; the fallback
    recomputes without memoizing because a [t] can be shared read-only
@@ -335,21 +362,14 @@ let scrutinizes_sender (t : t) (cond : var) : bool =
 
 (** Storage reads appearing in a guard's slice, with their classes.
     These are the candidate "owner variables": slots whose content the
-    guard trusts (§4.5 sink inference). *)
+    guard trusts (§4.5 sink inference). Answered from the table
+    precomputed by {!compute}; the fallback re-derives from the slice
+    without memoizing (a [t] is shared read-only across scheduler
+    domains). *)
 let guard_storage_reads (t : t) (cond : var) : (var * slot_class) list =
-  VarSet.fold
-    (fun v acc ->
-      match def t.program v with
-      | Some { s_op = TOp Op.SLOAD; s_args = [ a ]; s_res = Some r; _ } ->
-          (r, classify_slot t a) :: acc
-      | _ -> acc)
-    (slice_of t cond)
-    []
-  @ (* the condition may itself be a load (e.g. require(admins[k])) *)
-  (match def t.program cond with
-  | Some { s_op = TOp Op.SLOAD; s_args = [ a ]; s_res = Some r; _ } ->
-      [ (r, classify_slot t a) ]
-  | _ -> [])
+  match Hashtbl.find_opt t.guard_reads cond with
+  | Some l -> l
+  | None -> slice_storage_reads t.program t.data_addr (slice_of t cond) cond
 
 (** Storage reads compared for {e equality} against a sender-derived
     value inside the guard's slice — the §4.5 inferred sinks ("a

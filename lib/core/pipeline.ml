@@ -439,8 +439,11 @@ let decode_frontend (s : string) : frontend option =
    "6" = results gained the storage-dependency footprint (codec v3);
    older entries lack it and must miss.
    "7" = Uint256 switched to int-limb representation; marshalled
-   payloads embedding the old boxed-int64 record layout must miss. *)
-let analysis_version = "7"
+   payloads embedding the old boxed-int64 record layout must miss.
+   "8" = Dominators.t and Facts.t changed layout (preorder intervals,
+   precomputed guard reads); a Marshal header cannot tell one record
+   layout from another, so v7 front-end entries must miss. *)
+let analysis_version = "8"
 
 (* The front-end key's stand-in for a config fingerprint: the front
    end does not depend on any ablation switch, so its entries are

@@ -7,13 +7,19 @@
     considered a guard for that variable").
 
     Cooper–Harvey–Kennedy iterative algorithm over a reverse-postorder
-    numbering. *)
+    numbering, then one preorder walk of the resulting dominator tree:
+    a block's subtree — the blocks it dominates — is a contiguous
+    interval of that preorder, so both queries below are answered
+    without walking the tree. *)
 
 open Tac
 
 type t = {
-  idom : (int, int) Hashtbl.t;      (** immediate dominator (entry maps to itself) *)
-  rpo : int array;                  (** blocks in reverse postorder *)
+  order : int array;          (** reachable blocks in dominator-tree preorder *)
+  pos : (int, int) Hashtbl.t; (** block -> its index in [order] *)
+  stop : int array;
+      (** [stop.(i)]: end (exclusive) of the subtree rooted at
+          [order.(i)], which is [order.(i) .. order.(stop.(i) - 1)] *)
 }
 
 let compute (p : program) : t =
@@ -73,24 +79,42 @@ let compute (p : program) : t =
                   end))
       rpo
   done;
-  { idom; rpo }
+  (* number the dominator tree in preorder, children in rpo order *)
+  let children = Hashtbl.create 64 in
+  for i = Array.length rpo - 1 downto 1 do
+    let e = rpo.(i) in
+    match Hashtbl.find_opt idom e with
+    | Some d ->
+        let kids = Option.value ~default:[] (Hashtbl.find_opt children d) in
+        Hashtbl.replace children d (e :: kids)
+    | None -> ()
+  done;
+  let n = Hashtbl.length idom in
+  let order = Array.make n 0 and stop = Array.make n 0 in
+  let pos = Hashtbl.create n in
+  let next = ref 0 in
+  let rec number e =
+    let i = !next in
+    incr next;
+    order.(i) <- e;
+    Hashtbl.replace pos e i;
+    List.iter number (Option.value ~default:[] (Hashtbl.find_opt children e));
+    stop.(i) <- !next
+  in
+  number p.p_entry;
+  { order; pos; stop }
 
 (** [dominates t a b]: does block [a] dominate block [b]? *)
 let dominates (t : t) (a : int) (b : int) : bool =
-  let rec walk x =
-    if x = a then true
-    else
-      match Hashtbl.find_opt t.idom x with
-      | None -> false
-      | Some d -> if d = x then x = a else walk d
-  in
-  walk b
+  a = b
+  ||
+  match (Hashtbl.find_opt t.pos a, Hashtbl.find_opt t.pos b) with
+  | Some i, Some j -> i <= j && j < t.stop.(i)
+  | _ -> false
 
 (** All blocks dominated by [a] (including [a] itself), among blocks
     reachable from the entry. *)
 let dominated_by (t : t) (a : int) : int list =
-  Array.to_list t.rpo
-  |> List.filter (fun b ->
-         (* a walk up the idom tree per block: quadratic in deep CFGs *)
-         Ethainter_runtime.Deadline.poll ();
-         dominates t a b)
+  match Hashtbl.find_opt t.pos a with
+  | Some i -> Array.to_list (Array.sub t.order i (t.stop.(i) - i))
+  | None -> []

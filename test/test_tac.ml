@@ -1,5 +1,6 @@
 (* Decompiler tests: block recovery, jump resolution, phi merging,
-   scratch-hash resolution, orphan recovery, and dominators. *)
+   scratch-hash resolution, orphan recovery, and dominators (checked
+   against the definition of dominance). *)
 
 module U = Ethainter_word.Uint256
 module B = Ethainter_evm.Bytecode
@@ -223,6 +224,131 @@ let test_dominators_diamond () =
   Alcotest.(check bool) "branch does not dominate join" false
     (Dom.dominates doms right.Tac.b_entry join.Tac.b_entry)
 
+(* Dominance by its definition: [a] dominates [b] iff [a = b], or [b]
+   is reachable from the entry and unreachable once [a] is removed. *)
+let reachable_avoiding p avoid =
+  let seen = Hashtbl.create 16 in
+  let rec go e =
+    if e <> avoid && not (Hashtbl.mem seen e) then begin
+      Hashtbl.replace seen e ();
+      match Tac.block p e with
+      | Some b -> List.iter go b.Tac.b_succs
+      | None -> ()
+    end
+  in
+  go p.Tac.p_entry;
+  seen
+
+(* [Dom.dominates] and [Dom.dominated_by] against the definition, over
+   every block plus one id that names no block; the first disagreement,
+   if any. *)
+let dominance_mismatch p =
+  let doms = Dom.compute p in
+  let ids = List.map (fun b -> b.Tac.b_entry) (Tac.blocks p) in
+  let ids = List.sort compare ((List.fold_left max 0 ids + 1) :: ids) in
+  let reach = reachable_avoiding p (-1) in
+  let reachable = List.filter (Hashtbl.mem reach) ids in
+  let check a =
+    let without_a = reachable_avoiding p a in
+    let dom_a b =
+      a = b || (Hashtbl.mem reach b && not (Hashtbl.mem without_a b))
+    in
+    let expected = List.filter dom_a reachable in
+    let got = List.sort compare (Dom.dominated_by doms a) in
+    let show l = String.concat ";" (List.map string_of_int l) in
+    if got <> expected then
+      Some (Printf.sprintf "dominated_by %d: got [%s], expected [%s]" a
+              (show got) (show expected))
+    else
+      List.find_map
+        (fun b ->
+          if Dom.dominates doms a b = dom_a b then None
+          else Some (Printf.sprintf "dominates %d %d: got %b" a b (not (dom_a b))))
+        ids
+  in
+  List.find_map check ids
+
+(* Random labelled programs: every block is a JUMPDEST ending in STOP,
+   JUMP to a block, or JUMPI to a block (falling through to the next).
+   Blocks nobody jumps or falls into are decompiled as orphans, so the
+   CFGs carry unreachable blocks too. *)
+let gen_labelled_program =
+  QCheck.Gen.(
+    int_range 1 12 >>= fun n ->
+    list_repeat n
+      (pair (frequency [ (1, return 0); (2, return 1); (4, return 2) ])
+         (int_bound (n - 1))))
+
+let assemble_labelled blocks =
+  let label i = Printf.sprintf "L%d" i in
+  List.concat
+    (List.mapi
+       (fun i (kind, target) ->
+         B.Label (label i)
+         ::
+         (match kind with
+         | 0 -> [ B.Op Op.STOP ]
+         | 1 -> [ B.PushLabel (label target); B.Op Op.JUMP ]
+         | _ -> [ B.Op Op.CALLVALUE; B.PushLabel (label target); B.Op Op.JUMPI ]))
+       blocks)
+  @ [ B.Label "end"; B.Op Op.STOP ]
+
+let prop_dominance_definition =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"dominance matches its definition" ~count:300
+       (QCheck.make
+          ~print:(fun bs ->
+            String.concat " "
+              (List.map (fun (k, t) -> Printf.sprintf "%d->%d" k t) bs))
+          gen_labelled_program)
+       (fun blocks ->
+         match dominance_mismatch (decompile (assemble_labelled blocks)) with
+         | None -> true
+         | Some msg -> QCheck.Test.fail_report msg))
+
+let test_dominance_templates () =
+  List.iter
+    (fun (t : Ethainter_corpus.Patterns.template) ->
+      let p =
+        D.decompile
+          (Ethainter_minisol.Codegen.compile_source_runtime
+             t.Ethainter_corpus.Patterns.t_source)
+      in
+      match dominance_mismatch p with
+      | None -> ()
+      | Some msg -> Alcotest.fail (t.Ethainter_corpus.Patterns.t_name ^ ": " ^ msg))
+    Ethainter_corpus.Patterns.all_templates
+
+let test_dominance_edge_cases () =
+  (* two orphan blocks, u1 jumping to u2, after the entry's STOP *)
+  let p =
+    decompile
+      [ B.Op Op.STOP; B.Label "u1"; B.PushLabel "u2"; B.Op Op.JUMP;
+        B.Label "u2"; B.Op Op.STOP ]
+  in
+  let doms = Dom.compute p in
+  let u1, u2 =
+    match
+      Hashtbl.fold (fun e () acc -> e :: acc) p.Tac.p_orphans []
+      |> List.sort compare
+    with
+    | [ u1; u2 ] -> (u1, u2)
+    | _ -> Alcotest.fail "expected two orphan blocks"
+  in
+  List.iter
+    (fun a ->
+      Alcotest.(check bool) (Printf.sprintf "%d dominates itself" a) true
+        (Dom.dominates doms a a))
+    [ 0; u1; u2 ];
+  Alcotest.(check bool) "unreachable a does not dominate unreachable b" false
+    (Dom.dominates doms u1 u2);
+  Alcotest.(check bool) "entry does not dominate an unreachable block" false
+    (Dom.dominates doms 0 u1);
+  Alcotest.(check (list int)) "unreachable a dominates nothing" []
+    (Dom.dominated_by doms u1);
+  Alcotest.(check (list int)) "entry dominates itself only" [ 0 ]
+    (Dom.dominated_by doms 0)
+
 let test_loc_counts () =
   let p =
     decompile [ B.Push U.one; B.Op Op.POP; B.Op Op.STOP ]
@@ -267,5 +393,7 @@ let () =
           Alcotest.test_case "loc" `Quick test_loc_counts ] );
       ( "dominators",
         [ Alcotest.test_case "linear" `Quick test_dominators_linear;
-          Alcotest.test_case "diamond" `Quick test_dominators_diamond ] );
-      ("properties", [ prop_random_straightline ]) ]
+          Alcotest.test_case "diamond" `Quick test_dominators_diamond;
+          Alcotest.test_case "edge cases" `Quick test_dominance_edge_cases;
+          Alcotest.test_case "templates" `Quick test_dominance_templates ] );
+      ("properties", [ prop_random_straightline; prop_dominance_definition ]) ]
