@@ -28,7 +28,7 @@
    BENCH_pr6.json):
      dune exec bench/main.exe -- --pr6-only
    Streaming index only (deploy/rotate/destroy scenario: blocks/s,
-   verdict lag, re-analyses per mutating block vs full-sweep baseline,
+   verdict lag, analyses and re-analyses — storage writes cost none —,
    writes BENCH_pr7.json):
      dune exec bench/main.exe -- --pr7-only
    Pre-decoded EVM programs only (chain-replay tx/s bytewise vs
@@ -931,32 +931,22 @@ let bench_pr6 () =
 (* ------------------------------------------------------------------ *)
 (* PR7: the streaming index. The deploy/rotate/destroy scenario from   *)
 (* lib/experiments against a live Index: block throughput, verdict     *)
-(* lag, re-analyses per mutating block vs the full-sweep baseline      *)
-(* (every live contract, every mutating block), the zero-front-end     *)
-(* telemetry claim, and the incremental==batch differential. Emitted   *)
-(* as BENCH_pr7.json.                                                  *)
+(* lag, analyses and re-analyses (storage writes cost none), the       *)
+(* zero-front-end telemetry claim, and the incremental==batch          *)
+(* differential. Emitted as BENCH_pr7.json.                            *)
 (* ------------------------------------------------------------------ *)
 
 let bench_pr7 () =
   print_endline "";
-  print_endline
-    "PR7 streaming index (dependency-aware incremental re-analysis):";
+  print_endline "PR7 streaming index (storage writes cost no analysis):";
   let contracts = 24 and rotations = 36 and noise = 18 and kills = 4 in
   let r = E.stream ~contracts ~rotations ~noise ~kills () in
-  let saved =
-    r.E.st_full_sweep_per_mutating_block
-    /. (let per = r.E.st_reanalyses_per_mutating_block in
-        if per > 0.0 then per else 1.0)
-  in
   Printf.printf
     "  %d blocks (%d contracts, %d rotations, %d noise writes, %d kills): \
      %.1f blocks/s\n"
     r.E.st_blocks contracts rotations noise kills r.E.st_blocks_per_s;
-  Printf.printf
-    "  re-analyses per mutating block: %.2f incremental vs %.2f full sweep \
-     (%.1fx less work)\n"
-    r.E.st_reanalyses_per_mutating_block r.E.st_full_sweep_per_mutating_block
-    saved;
+  Printf.printf "  analyses: %d; re-analyses: %d (claim: 0)\n" r.E.st_analyses
+    r.E.st_reanalyses;
   Printf.printf "  mean verdict lag: %.2f blocks\n" r.E.st_mean_lag_blocks;
   Printf.printf
     "  front-end recomputations: %d (claim: 0); incremental == batch: %b\n"
@@ -974,11 +964,8 @@ let bench_pr7 () =
     "blocks": %d,
     "elapsed_s": %.6f,
     "blocks_per_s": %.4f,
-    "invalidations": %d,
     "analyses": %d,
     "reanalyses": %d,
-    "reanalyses_per_mutating_block": %.4f,
-    "full_sweep_per_mutating_block": %.4f,
     "mean_lag_blocks": %.4f,
     "frontend_recomputes": %d,
     "incremental_eq_batch": %b
@@ -987,9 +974,8 @@ let bench_pr7 () =
 |}
     (Domain.recommended_domain_count ())
     contracts rotations noise kills r.E.st_blocks r.E.st_elapsed_s
-    r.E.st_blocks_per_s r.E.st_invalidations r.E.st_analyses
-    r.E.st_reanalyses r.E.st_reanalyses_per_mutating_block
-    r.E.st_full_sweep_per_mutating_block r.E.st_mean_lag_blocks
+    r.E.st_blocks_per_s r.E.st_analyses r.E.st_reanalyses
+    r.E.st_mean_lag_blocks
     r.E.st_frontend_recomputes r.E.st_incremental_eq_batch;
   close_out oc;
   print_endline "  wrote BENCH_pr7.json"

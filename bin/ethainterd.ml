@@ -11,8 +11,8 @@
    fed by an in-process chain simulator under a continuous synthetic
    deploy/rotate/destroy workload; clients query per-contract verdicts
    with the watch request and the index's counters with index-stats.
-   Index re-analyses run on the same worker pool and admission queue
-   as client requests. --journal-dir makes the index durable: verdicts
+   Index analyses run on the same worker pool and admission queue as
+   client requests. --journal-dir makes the index durable: verdicts
    survive a crash or kill and are recovered (not recomputed) at the
    next start; shutdown writes a clean final checkpoint.
 
@@ -60,8 +60,7 @@ let index_handlers idx =
 
 (* One contract per tag, each with a distinct constant baked into its
    runtime so bytecodes (and cache keys) never collide; the owner slot
-   is the only storage its guards read, so rotating it is exactly the
-   dependency write the index must chase. *)
+   is the only storage its guards read. *)
 let watch_source tag =
   Printf.sprintf
     {|contract Watched {
@@ -124,8 +123,9 @@ let start_watch ?(tick_s = 0.25) ?(fleet_cap = 24) ?journal_dir server =
                Printf.eprintf "ethainterd: watch block %d deployed %s\n%!"
                  (T.block_number net) (U.to_hex addr)
            | None -> ());
-           (* rotate a mid-fleet admin key: a dependency write that
-              invalidates exactly that contract's verdict *)
+           (* rotate a mid-fleet admin key: a write to the slot the
+              contract's guard reads, which costs the index nothing —
+              the verdict depends on the bytecode alone *)
            (if Queue.length fleet > 1 then
               let arr = Array.of_seq (Queue.to_seq fleet) in
               let addr, owner = arr.(!k mod Array.length arr) in

@@ -8,7 +8,6 @@ module State = Ethainter_evm.State
 module Interp = Ethainter_evm.Interp
 
 type receipt = {
-  tx_hash : U.t;
   from : U.t;
   to_ : U.t option; (** None for contract creation *)
   created : U.t option;
@@ -27,12 +26,6 @@ type block = {
       (** contracts deployed in this block and still live at its seal
           (address × runtime bytecode) — direct deployments and
           factory CREATE/CREATE2 children alike *)
-  b_storage_writes : (U.t * U.t) list;
-      (** (contract, slot) pairs written in this block, deduplicated,
-          in first-write order. Over-approximate: a write inside an
-          inner call that later reverted is still listed (sound for
-          invalidation, which treats each entry as "may have
-          changed") *)
   b_selfdestructed : U.t list; (** contracts destroyed by this block *)
 }
 
@@ -77,39 +70,34 @@ let block_number t = t.block_number
    (in registration order, on the sealing thread). Effect lists
    over-approximate (inner reverts are not trimmed), so
    liveness-sensitive views — what was deployed, what is destroyed —
-   are re-checked against the state at seal time. *)
+   are re-checked against the state at seal time. Storage writes stay
+   on the receipts and are not digested: no block consumer reads them. *)
 let seal (t : t) : unit =
-  let effects = List.concat (List.rev t.pending) in
+  let pending = List.rev t.pending in
   t.pending <- [];
   let seen_dep : (U.t, unit) Hashtbl.t = Hashtbl.create 8 in
-  let seen_wr : (U.t * U.t, unit) Hashtbl.t = Hashtbl.create 16 in
   let seen_sd : (U.t, unit) Hashtbl.t = Hashtbl.create 4 in
-  let deployed = ref [] and writes = ref [] and destroyed = ref [] in
+  let deployed = ref [] and destroyed = ref [] in
   List.iter
-    (fun (e : Interp.effect) ->
-      match e with
-      | Interp.E_create a ->
-          if not (Hashtbl.mem seen_dep a) then begin
-            Hashtbl.replace seen_dep a ();
-            let code = State.code t.state a in
-            if String.length code > 0 && not (State.is_destroyed t.state a)
-            then deployed := (a, code) :: !deployed
-          end
-      | Interp.E_sstore { es_addr; es_slot } ->
-          if not (Hashtbl.mem seen_wr (es_addr, es_slot)) then begin
-            Hashtbl.replace seen_wr (es_addr, es_slot) ();
-            writes := (es_addr, es_slot) :: !writes
-          end
-      | Interp.E_selfdestruct a ->
-          if not (Hashtbl.mem seen_sd a) then begin
-            Hashtbl.replace seen_sd a ();
-            if State.is_destroyed t.state a then destroyed := a :: !destroyed
-          end)
-    effects;
+    (List.iter (fun (e : Interp.effect) ->
+         match e with
+         | Interp.E_create a ->
+             if not (Hashtbl.mem seen_dep a) then begin
+               Hashtbl.replace seen_dep a ();
+               let code = State.code t.state a in
+               if String.length code > 0 && not (State.is_destroyed t.state a)
+               then deployed := (a, code) :: !deployed
+             end
+         | Interp.E_sstore _ -> ()
+         | Interp.E_selfdestruct a ->
+             if not (Hashtbl.mem seen_sd a) then begin
+               Hashtbl.replace seen_sd a ();
+               if State.is_destroyed t.state a then destroyed := a :: !destroyed
+             end))
+    pending;
   let b =
     { b_number = t.block_number;
       b_deployed = List.rev !deployed;
-      b_storage_writes = List.rev !writes;
       b_selfdestructed = List.rev !destroyed }
   in
   List.iter (fun o -> o.o_deliver b) t.observers;
@@ -200,13 +188,6 @@ let account_of_seed (seed : string) : U.t =
     (Ethainter_crypto.Keccak.hash_word ("account:" ^ seed))
     (U.sub (U.shift_left U.one 160) U.one)
 
-let tx_counter = ref 0
-
-let next_tx_hash (from : U.t) =
-  incr tx_counter;
-  Ethainter_crypto.Keccak.hash_word
-    (U.to_bytes from ^ string_of_int !tx_counter)
-
 (** Deploy a contract from raw *deployment* bytecode (constructor code
     that returns the runtime). Returns the receipt; [created] holds the
     new contract's address on success. *)
@@ -243,7 +224,7 @@ let deploy (t : t) ~(from : U.t) ?(value = U.zero) (initcode : string) :
         (o, None, [])
   in
   let r =
-    { tx_hash = next_tx_hash from; from; to_ = None; created; outcome;
+    { from; to_ = None; created; outcome;
       logs = cr.Interp.tx_logs; effects; gas_used = cr.Interp.gas_used;
       block = t.block_number }
   in
@@ -266,7 +247,7 @@ let transact (t : t) ~(from : U.t) ~(to_ : U.t) ?(value = U.zero)
       t.state ~caller:from ~target:to_ ~value ~calldata
   in
   let r =
-    { tx_hash = next_tx_hash from; from; to_ = Some to_; created = None;
+    { from; to_ = Some to_; created = None;
       outcome = cr.Interp.outcome; logs = cr.Interp.tx_logs;
       effects = cr.Interp.tx_effects;
       gas_used = cr.Interp.gas_used; block = t.block_number }

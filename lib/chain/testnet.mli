@@ -7,12 +7,13 @@
     each returns a receipt with its outcome, event logs and effects,
     and the network keeps none of them.
 
-    The network also seals {b blocks} carrying the digested
-    chain-observable effects — deployments, storage writes,
-    self-destructs — that a streaming analysis index needs to compute
-    its dirty set, and pushes each to its observers in registration
-    order. By default every transaction seals its own block;
-    {!in_block} batches several into one.
+    The network also seals {b blocks} carrying the digested effects a
+    streaming analysis index consumes — deployments and self-destructs
+    — and pushes each to its observers in registration order. Storage
+    writes stay on the receipts only: a verdict is a function of the
+    bytecode, so no block consumer needs them. By default every
+    transaction seals its own block; {!in_block} batches several into
+    one.
 
     {2 History}
 
@@ -31,7 +32,6 @@ module State = Ethainter_evm.State
 module Interp = Ethainter_evm.Interp
 
 type receipt = {
-  tx_hash : U.t;
   from : U.t;
   to_ : U.t option;        (** [None] for contract creation *)
   created : U.t option;    (** new contract address, on successful create *)
@@ -52,11 +52,6 @@ type block = {
       (** contracts deployed in this block and still live at its seal
           (address × runtime bytecode) — direct deployments and
           factory CREATE/CREATE2 children alike *)
-  b_storage_writes : (U.t * U.t) list;
-      (** (contract, slot) pairs written in this block, deduplicated,
-          in first-write order; over-approximate (writes inside inner
-          calls that later reverted are still listed — sound for
-          invalidation) *)
   b_selfdestructed : U.t list; (** contracts destroyed by this block *)
 }
 

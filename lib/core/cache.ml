@@ -120,11 +120,13 @@ let create ?(capacity = 8192) ?dir ?(ext = "cache") ?max_bytes ~encode
     hits = 0; disk_hits = 0; misses = 0; rejected = 0; evictions = 0;
     disk_writes = 0; io_errors = 0 }
 
-let key ~version ~fingerprint bytecode =
-  let code_hash = Ethainter_crypto.Keccak.hash bytecode in
+let key_of_hash ~version ~fingerprint code_hash =
   Ethainter_word.Hex.encode
     (Ethainter_crypto.Keccak.hash
        (version ^ "\x00" ^ fingerprint ^ "\x00" ^ code_hash))
+
+let key ~version ~fingerprint bytecode =
+  key_of_hash ~version ~fingerprint (Ethainter_crypto.Keccak.hash bytecode)
 
 let locked t f =
   Mutex.lock t.mu;
@@ -410,22 +412,6 @@ let add t k v =
   locked t (fun () -> insert t k v);
   if disk_write t k v then
     locked t (fun () -> t.disk_writes <- t.disk_writes + 1)
-
-(* Invalidation: both tiers forget the key. Not an eviction (those
-   count capacity pressure) and not an error — the caller decided the
-   entry no longer stands in for a computation, e.g. the streaming
-   index forcing a genuine back-end re-run after a chain write. *)
-let remove t k =
-  locked t (fun () ->
-      match Hashtbl.find_opt t.tbl k with
-      | Some n ->
-          unlink t n;
-          Hashtbl.remove t.tbl k
-      | None -> ());
-  match t.dir with
-  | Some dir when filename_safe k -> (
-      try Sys.remove (entry_path t dir k) with _ -> ())
-  | _ -> ()
 
 let find_or_compute t ~key ?(cacheable = fun _ -> true) f =
   match find t key with

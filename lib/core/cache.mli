@@ -80,6 +80,11 @@ val key : version:string -> fingerprint:string -> string -> string
     entry); [fingerprint] is {!Config.fingerprint}, so ablation
     configs never share entries. *)
 
+val key_of_hash : version:string -> fingerprint:string -> string -> string
+(** [key_of_hash ~version ~fingerprint (Keccak.hash bytecode)] is
+    [key ~version ~fingerprint bytecode]: a caller deriving several
+    keys for one bytecode hashes the code once. *)
+
 val find : 'v t -> string -> 'v option
 (** Memory tier first, then disk. A disk hit is promoted to memory. *)
 
@@ -97,13 +102,6 @@ val add : 'v t -> string -> 'v -> unit
 (** Insert into the memory tier (evicting the least-recently-used
     entry beyond capacity) and persist to the disk tier if one is
     configured. Re-adding an existing key refreshes its recency. *)
-
-val remove : 'v t -> string -> unit
-(** Forget the entry for this key in {e both} tiers (memory and disk).
-    Counted neither as an eviction nor as an error: the caller is
-    deliberately invalidating — the streaming index uses this to force
-    a genuine recomputation after on-chain facts a cached result
-    consumed have changed. Removing an absent key is a no-op. *)
 
 val find_or_compute :
   'v t -> key:string -> ?cacheable:('v -> bool) -> (unit -> 'v) -> 'v

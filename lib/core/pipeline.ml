@@ -9,8 +9,6 @@
 (* Coarse failure taxonomy, stable across codec versions: corpus
    reports need to distinguish "ran out of budget" from "hostile
    bytecode" from "the machine failed us". *)
-module U = Ethainter_word.Uint256
-
 type error_kind = Timeout | Decode | Decompile | Analysis | Io | Fatal
 
 let error_kind_id = function
@@ -30,29 +28,6 @@ let error_kind_of_id = function
   | "fatal" -> Some Fatal
   | _ -> None
 
-(* The on-chain facts a verdict consumed, recorded so a streaming
-   consumer can decide whether a later block's storage writes
-   invalidate it. The analysis reads storage only through guard
-   slices (require(msg.sender == owner), admins[msg.sender], ...), so
-   those slots are the verdict's entire storage footprint. *)
-type deps = {
-  dep_slots : U.t list;
-      (* constant storage slots read in guard slices, sorted *)
-  dep_roots : U.t list;
-      (* data-structure root slots (mappings/arrays) read in guard
-         slices, sorted — a write to any hash-derived member may
-         change the guard's meaning *)
-  dep_unknown : bool;
-      (* some guard read an unresolved slot: any write to this
-         contract may invalidate the verdict *)
-}
-
-(* Failure verdicts (and mid-phase timeouts) never ran the analysis to
-   completion, so their footprint is unknown: the conservative default
-   makes any write re-queue them, which is sound and gives timeouts a
-   chance to succeed later. *)
-let conservative_deps = { dep_slots = []; dep_roots = []; dep_unknown = true }
-
 type result = {
   reports : Vulns.report list;
   tac_loc : int;          (** 3-address statements (paper's corpus unit) *)
@@ -64,39 +39,11 @@ type result = {
   error_kind : error_kind option;
       (** classification of the failure; [Some Timeout] iff
           [timed_out] *)
-  deps : deps;
 }
 
 let empty_result =
   { reports = []; tac_loc = 0; blocks = 0; analysis_rounds = 0;
-    elapsed_s = 0.0; timed_out = false; error = None; error_kind = None;
-    deps = conservative_deps }
-
-(* The storage footprint of a successful analysis: every slot class
-   read by any guard slice, deduplicated and sorted for a canonical
-   encoding. *)
-let deps_of_facts (facts : Facts.t) : deps =
-  let slots : (U.t, unit) Hashtbl.t = Hashtbl.create 8 in
-  let roots : (U.t, unit) Hashtbl.t = Hashtbl.create 8 in
-  let unknown = ref false in
-  Hashtbl.iter
-    (fun _ gs ->
-      List.iter
-        (fun (g : Facts.guard) ->
-          List.iter
-            (fun (_, cls) ->
-              match cls with
-              | Facts.SConst c -> Hashtbl.replace slots c ()
-              | Facts.SData b -> Hashtbl.replace roots b ()
-              | Facts.SUnknown -> unknown := true)
-            (Facts.guard_storage_reads facts g.Facts.g_cond))
-        gs)
-    facts.Facts.known_true;
-  let sorted h =
-    Hashtbl.fold (fun k () acc -> k :: acc) h [] |> List.sort U.compare
-  in
-  { dep_slots = sorted slots; dep_roots = sorted roots;
-    dep_unknown = !unknown }
+    elapsed_s = 0.0; timed_out = false; error = None; error_kind = None }
 
 (* The exceptions a malformed contract is expected to produce while
    being decompiled and analyzed. Anything else — Out_of_memory,
@@ -217,11 +164,7 @@ let backend ~(cfg : Config.t) ?(timeout_s : float option) (fe : frontend) :
             { reports; tac_loc = fe.fe_tac_loc; blocks = fe.fe_blocks;
               analysis_rounds = a.Analysis.rounds;
               elapsed_s = fe.fe_elapsed_s +. (Unix.gettimeofday () -. t0);
-              timed_out = false; error = None; error_kind = None;
-              (* the analysis completed, so the footprint is precise;
-                 any stray failure here degrades to the conservative
-                 footprint rather than losing the verdict *)
-              deps = (try deps_of_facts facts with _ -> conservative_deps) }
+              timed_out = false; error = None; error_kind = None }
       in
       match timeout_s with
       | None -> run_phase ()
@@ -253,10 +196,10 @@ let analyze_uncached ~(cfg : Config.t) ~(timeout_s : float)
    decode into a plausible but wrong result. The chaos suite's
    [corrupt] injection drives exactly that path.
 
-   v3 adds the [deps] line (the verdict's storage footprint, consumed
-   by the streaming index's invalidation logic). *)
+   v3 added a [deps] line (a storage footprint for write-driven
+   re-analysis); v4 drops it again, so v3 entries must miss. *)
 
-let codec_magic = "ethainter.result.v3"
+let codec_magic = "ethainter.result.v4"
 
 let digest_hex body =
   Ethainter_word.Hex.encode (Ethainter_crypto.Keccak.hash body)
@@ -268,12 +211,6 @@ let encode_result (r : result) : string =
   Printf.bprintf b "meta %d %d %d %h %b %s\n" r.tac_loc r.blocks
     r.analysis_rounds r.elapsed_s r.timed_out
     (match r.error_kind with None -> "-" | Some k -> error_kind_id k);
-  Printf.bprintf b "deps %b %d %d" r.deps.dep_unknown
-    (List.length r.deps.dep_slots)
-    (List.length r.deps.dep_roots);
-  List.iter (fun s -> Printf.bprintf b " %s" (U.to_hex s)) r.deps.dep_slots;
-  List.iter (fun s -> Printf.bprintf b " %s" (U.to_hex s)) r.deps.dep_roots;
-  Buffer.add_char b '\n';
   (match r.error with
   | None -> Buffer.add_string b "error -1\n"
   | Some e -> Printf.bprintf b "error %d\n%s\n" (String.length e) e);
@@ -335,29 +272,6 @@ let decode_result (s : string) : result option =
           (int_of a, int_of b, int_of c, float_of d, bool_of e, kind)
       | _ -> fail ()
     in
-    let deps =
-      match words (line ()) with
-      | "deps" :: u :: ns :: nr :: rest ->
-          let u = bool_of u and ns = int_of ns and nr = int_of nr in
-          if ns < 0 || nr < 0 || List.length rest <> ns + nr then fail ();
-          let ws =
-            List.map
-              (fun w -> try U.of_hex w with _ -> fail ())
-              rest
-          in
-          let rec split n l =
-            if n = 0 then ([], l)
-            else
-              match l with
-              | x :: tl ->
-                  let a, b = split (n - 1) tl in
-                  (x :: a, b)
-              | [] -> fail ()
-          in
-          let dep_slots, dep_roots = split ns ws in
-          { dep_slots; dep_roots; dep_unknown = u }
-      | _ -> fail ()
-    in
     let error =
       match words (line ()) with
       | [ "error"; "-1" ] -> None
@@ -386,7 +300,7 @@ let decode_result (s : string) : result option =
     in
     if !pos <> String.length s then fail ();
     Some { reports; tac_loc; blocks; analysis_rounds; elapsed_s; timed_out;
-           error; error_kind; deps }
+           error; error_kind }
   with _ -> None
 
 (* ------------------------------------------------------------------ *)
@@ -553,20 +467,6 @@ let resolve_input = function
       | code -> Ok code
       | exception Invalid_argument msg -> Error msg)
 
-let backend_key ~(cfg : Config.t) (runtime : string) : string =
-  Cache.key ~version:analysis_version
-    ~fingerprint:(Config.fingerprint cfg) runtime
-
-(* Streaming invalidation: the analysis is pure in the bytecode, so a
-   changed on-chain fact (say, a rotated admin key) never changes the
-   verdict's content — but a consumer that must *prove* its verdict
-   current (the streaming index's contract) invalidates the back-end
-   entry and re-runs, making the recomputation observable as a genuine
-   back-end miss while the front-end artifact still hits. *)
-let invalidate_backend ?(cfg = Config.default) (runtime : string) : unit =
-  if cache_enabled () then
-    Cache.remove (result_cache ()) (backend_key ~cfg runtime)
-
 let run (req : request) : result =
   match resolve_input req.code with
   | Error msg ->
@@ -580,7 +480,12 @@ let run (req : request) : result =
         analyze_uncached ~cfg:req.cfg ~timeout_s:req.timeout_s runtime
       else
         let fe_cache, res_cache = caches () in
-        let res_key = backend_key ~cfg:req.cfg runtime in
+        (* one hash of the code per request: both keys derive from it *)
+        let code_hash = Ethainter_crypto.Keccak.hash runtime in
+        let key fingerprint =
+          Cache.key_of_hash ~version:analysis_version ~fingerprint code_hash
+        in
+        let res_key = key (Config.fingerprint req.cfg) in
         (* A back-end hit is only valid if this request's budget
            exceeds the recorded total (front-end + back-end) cost — a
            tighter budget might have timed out, and the timeout tests
@@ -592,10 +497,7 @@ let run (req : request) : result =
         with
         | Some r -> r
         | None -> (
-            let fe_key =
-              Cache.key ~version:analysis_version
-                ~fingerprint:frontend_fingerprint runtime
-            in
+            let fe_key = key frontend_fingerprint in
             (* A front-end hit stands in for actually running the
                front end, so its recorded cost must itself fit the
                budget (an uncached run would have timed out right

@@ -6,7 +6,9 @@
     {!run} on a {!request} is the {e single} entry point every caller
     (scheduler, experiments, CLIs, bench) goes through; it is where the
     content-addressed {!Cache} keys are derived, so memoization is
-    transparent and uniform.
+    transparent and uniform. A result is a function of the bytecode and
+    the config alone: no chain state enters the analysis, so a verdict
+    never goes stale while its code is unchanged.
 
     The pipeline is {b phase-split} where config dependence begins:
 
@@ -43,32 +45,6 @@ val error_kind_id : error_kind -> string
 
 val error_kind_of_id : string -> error_kind option
 
-(** The on-chain facts a verdict consumed — its {e storage footprint}.
-    The analysis reads chain state only through guard slices
-    ([require(msg.sender == owner)], [admins\[msg.sender\]], ...), so
-    the slots those slices load are everything a later block could
-    change to make the verdict stale. The streaming index matches a
-    block's storage writes against this record to compute its dirty
-    set. *)
-type deps = {
-  dep_slots : Ethainter_word.Uint256.t list;
-      (** constant storage slots read in guard slices, sorted,
-          deduplicated *)
-  dep_roots : Ethainter_word.Uint256.t list;
-      (** data-structure root slots (mappings/arrays) whose members a
-          guard slice reads — a write to {e any} hash-derived member
-          address may change the guard's meaning, so the whole root is
-          a dependency *)
-  dep_unknown : bool;
-      (** some guard read a statically-unresolved slot: any storage
-          write to this contract may invalidate the verdict *)
-}
-
-val conservative_deps : deps
-(** The footprint of a verdict that did not run to completion
-    (failures, timeouts): [dep_unknown = true], so any write
-    re-queues it. *)
-
 type result = {
   reports : Vulns.report list;
   tac_loc : int;          (** 3-address statements (the paper's corpus unit) *)
@@ -80,9 +56,6 @@ type result = {
   error_kind : error_kind option;
       (** classification of the failure; [Some Timeout] iff
           [timed_out] *)
-  deps : deps;
-      (** storage footprint of the verdict;
-          {!conservative_deps} unless the analysis completed *)
 }
 
 val empty_result : result
@@ -213,17 +186,6 @@ val disk_cache_degraded : unit -> bool
     reports this as [Degraded] on its health endpoint. False when no
     disk tier is configured or the caches have not been created yet. *)
 
-val invalidate_backend : ?cfg:Config.t -> string -> unit
-(** [invalidate_backend ~cfg runtime] forgets the cached {e back-end}
-    result for this bytecode under this config (both tiers, disk entry
-    deleted) — the front-end artifact is untouched. The analysis is
-    pure in the bytecode, so this never changes what {!run} returns;
-    it forces the next {!run} to genuinely re-execute the fixpoint and
-    detectors, which is how the streaming index turns "an on-chain
-    fact this verdict consumed changed" into a fresh, provably-current
-    verdict (observable as a back-end miss next to a front-end hit in
-    the telemetry). [cfg] defaults to {!Config.default}. *)
-
 val prewarm : unit -> unit
 (** Force both cache instances to be created now (reading the
     environment knobs, sweeping stale disk-tier temp files) rather
@@ -246,7 +208,7 @@ val pp_cache_stats : Format.formatter -> unit -> unit
     entry (bit rot, injected faults) decodes to [None] — a miss —
     rather than to a plausible-but-wrong value. The result codec is a
     self-describing text format (digest line, then an
-    ["ethainter.result.v2"] header). The front-end codec wraps a
+    ["ethainter.result.v4"] header). The front-end codec wraps a
     [Marshal] payload in a header carrying the codec version, the
     compiler version (Marshal's format is build-dependent) and the
     digest; the payload is only unmarshalled after the header fully

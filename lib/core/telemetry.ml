@@ -40,9 +40,9 @@ let unregister_source name =
   Hashtbl.remove sources name;
   Mutex.unlock sources_mu
 
-(* The decoded-program cache lives below this layer (lib/evm), which
-   must not depend on telemetry; register its counters from here so
-   every consumer sees a built-in "evm_program" source. *)
+(* The program decoder lives below this layer (lib/evm), which must
+   not depend on telemetry; register its counter from here so every
+   consumer sees a built-in "evm_program" source. *)
 let () =
   register_source "evm_program" (fun () ->
       Ethainter_evm.Program.telemetry_pairs ())

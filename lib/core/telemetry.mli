@@ -14,9 +14,9 @@
     daemon) contribute counters by registering a {b source}: a named
     thunk returning key/value pairs, sampled at {!capture} time into
     [snapshot.extras]. This inverts the dependency — the index depends
-    on core, never the reverse — while still landing its dirty-set /
-    invalidation / re-analysis counters in the same snapshot everything
-    else reads.
+    on core, never the reverse — while still landing its analysis /
+    quarantine / journal counters in the same snapshot everything else
+    reads.
 
     Every numeric in the snapshot is {b cumulative} (monotonic since
     process start, modulo explicit cache clears). Consumers that want a

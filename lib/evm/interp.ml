@@ -13,12 +13,12 @@
     Two engines execute the same semantics:
 
     - {b Decoded} (the default): runs over the pre-decoded basic-block
-      {!Program.t} for the contract — one decode per unique code hash
-      process-wide, an array operand stack, and per-block gas
-      pre-charging (a block whose static cost fits the remaining gas
-      is charged once at entry; any mid-block exit unwinds the
-      unexecuted tail via [Program.gas_rest], so observable gas is
-      bit-identical to per-instruction charging).
+      {!Program.t} for the contract — decoded once per account and
+      memoized in the world state — an array operand stack, and
+      per-block gas pre-charging (a block whose static cost fits the
+      remaining gas is charged once at entry; any mid-block exit
+      unwinds the unexecuted tail via [Program.gas_rest], so
+      observable gas is bit-identical to per-instruction charging).
     - {b Bytewise}: the reference per-byte interpreter (decode each
       opcode from the raw string at each step, rebuild the JUMPDEST
       set per call frame, list operand stack). Kept verbatim as the

@@ -15,7 +15,6 @@ type block = {
 
 type t = {
   code : string;
-  code_hash : string;
   instrs : Bytecode.instr array;
   ops : Bytes.t;
   gas_rest : int array;
@@ -26,7 +25,7 @@ type t = {
 
 (* ---------------- decoding ---------------- *)
 
-let decode_with_hash (code : string) (code_hash : string) : t =
+let decode (code : string) : t =
   let n = String.length code in
   (* One linear pass over the bytes: decoded instructions into a
      growable array (PUSH immediates materialized once, zero-filled
@@ -124,64 +123,19 @@ let decode_with_hash (code : string) (code_hash : string) : t =
     incr bk
   done;
   let blocks = Array.sub blocks 0 !bk in
-  { code; code_hash; instrs; ops; gas_rest; blocks; block_at_pc; jumpdest }
+  { code; instrs; ops; gas_rest; blocks; block_at_pc; jumpdest }
 
-(* ---------------- process-wide cache ---------------- *)
-
-(* The lib/core cache idiom scaled down: one mutex-protected table
-   keyed by content hash, FIFO-bounded, monotonic counters. The decode
-   itself runs outside the lock; a lost race decodes twice and keeps
-   the first entry (both are semantically identical). *)
+(* Programs are not cached here: their owners keep them (the world
+   state memoizes one per account), and a whole-chain sweep meets each
+   contract once, so a process-wide table would only hold memory. *)
 
 let decodes = Atomic.make 0
-let hits = Atomic.make 0
-let evictions = Atomic.make 0
-
-let cache_cap =
-  match int_of_string_opt (try Sys.getenv "ETHAINTER_PROGRAM_CACHE_CAP" with Not_found -> "") with
-  | Some c when c > 0 -> c
-  | _ -> 4096
-
-let cache_mu = Mutex.create ()
-let cache : (string, t) Hashtbl.t = Hashtbl.create 256
-let cache_order : string Queue.t = Queue.create ()
-
-let decode (code : string) : t =
-  Atomic.incr decodes;
-  decode_with_hash code (Ethainter_crypto.Keccak.hash code)
 
 let of_code (code : string) : t =
-  let h = Ethainter_crypto.Keccak.hash code in
-  Mutex.lock cache_mu;
-  match Hashtbl.find_opt cache h with
-  | Some p ->
-      Atomic.incr hits;
-      Mutex.unlock cache_mu;
-      p
-  | None ->
-      Mutex.unlock cache_mu;
-      Atomic.incr decodes;
-      let p = decode_with_hash code h in
-      Mutex.lock cache_mu;
-      let p =
-        match Hashtbl.find_opt cache h with
-        | Some existing -> existing (* lost a decode race; keep first *)
-        | None ->
-            Hashtbl.replace cache h p;
-            Queue.push h cache_order;
-            while Hashtbl.length cache > cache_cap do
-              let victim = Queue.pop cache_order in
-              if Hashtbl.mem cache victim then begin
-                Hashtbl.remove cache victim;
-                Atomic.incr evictions
-              end
-            done;
-            p
-      in
-      Mutex.unlock cache_mu;
-      p
+  Atomic.incr decodes;
+  decode code
 
-let empty : t = decode_with_hash "" (Ethainter_crypto.Keccak.hash "")
+let empty : t = decode ""
 
 (* ---------------- accessors ---------------- *)
 
@@ -196,17 +150,8 @@ let block_instrs (p : t) (b : block) : Bytecode.instr list =
 
 (* ---------------- telemetry ---------------- *)
 
-type stats = { decodes : int; hits : int; evictions : int; entries : int }
+type stats = { decodes : int; hits : int }
 
-let stats () =
-  Mutex.lock cache_mu;
-  let entries = Hashtbl.length cache in
-  Mutex.unlock cache_mu;
-  { decodes = Atomic.get decodes; hits = Atomic.get hits;
-    evictions = Atomic.get evictions; entries }
+let stats () = { decodes = Atomic.get decodes; hits = 0 }
 
-let telemetry_pairs () =
-  let s = stats () in
-  [ ("decodes", float_of_int s.decodes); ("hits", float_of_int s.hits);
-    ("evictions", float_of_int s.evictions);
-    ("entries", float_of_int s.entries) ]
+let telemetry_pairs () = [ ("decodes", float_of_int (Atomic.get decodes)) ]

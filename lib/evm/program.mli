@@ -10,14 +10,12 @@
     ([Ethainter_tac.Decomp.split_blocks]) — which previously re-derived
     it independently per use.
 
-    Decoded programs are cached process-wide, keyed by
-    [keccak256(code)] (the same content-addressing discipline as the
-    analysis caches in [lib/core]), so repeated message calls into the
+    There is no process-wide cache: {!of_code} always decodes, and the
+    owner of a program keeps it. The world state memoizes one program
+    per account ([State.program]), so repeated message calls into the
     same contract — an Ethainter-Kill escalation campaign, a
-    million-transaction chain replay — decode zero times after the
-    first. The cache is mutex-protected and size-bounded (FIFO
-    eviction; cap via [ETHAINTER_PROGRAM_CACHE_CAP], default 4096
-    entries).
+    million-transaction chain replay — decode once per account; the
+    decompiler decodes the code it is given.
 
     {b Invariants} (relied on by the interpreter):
     - [instrs] lists instructions in code order; the immediate of a
@@ -51,7 +49,6 @@ type block = {
 
 type t = {
   code : string;          (** the raw bytecode (for CODECOPY/CODESIZE) *)
-  code_hash : string;     (** keccak256(code), the cache key *)
   instrs : Bytecode.instr array;  (** flat decoded instruction stream *)
   ops : Bytes.t;
       (** per instruction: the canonical opcode byte
@@ -70,15 +67,8 @@ type t = {
           [String.length code] *)
 }
 
-val decode : string -> t
-(** Decode unconditionally (no cache). The differential suite uses
-    this to exercise the decoder itself; everything else should go
-    through {!of_code}. *)
-
 val of_code : string -> t
-(** [of_code code] returns the cached program for [code], decoding at
-    most once per unique [keccak256(code)] process-wide. Thread-safe;
-    the decode itself runs outside the cache lock. *)
+(** [of_code code] decodes [code] (counted in {!stats}). Thread-safe. *)
 
 val empty : t
 (** The program of the empty code string (what a destroyed or
@@ -97,21 +87,17 @@ val block_instrs : t -> block -> Bytecode.instr list
 
 (** {1 Telemetry}
 
-    Monotonic process-wide counters (PR 7 style: diff two readings for
-    a window). [decodes] counts actual decode runs — the decode-once
-    property of a replay is [decodes diff = number of unique code
-    hashes]; [hits] counts cache lookups served without decoding;
-    [evictions] counts cap-bound FIFO drops. *)
+    A monotonic process-wide counter (diff two readings for a
+    window): [decodes] counts {!of_code} calls — a chain replay
+    decodes once per account that runs code. *)
 
 type stats = {
   decodes : int;
-  hits : int;
-  evictions : int;
-  entries : int;  (** current cache population (gauge) *)
+  hits : int;  (** always 0: there is no cache to hit *)
 }
 
 val stats : unit -> stats
 
 val telemetry_pairs : unit -> (string * float) list
-(** {!stats} in the flat key/value shape a {!Ethainter_core.Telemetry}
-    source returns. *)
+(** [decodes] in the flat key/value shape a
+    {!Ethainter_core.Telemetry} source returns. *)

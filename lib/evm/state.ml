@@ -106,10 +106,10 @@ let set_code t addr c =
   a.prog <- None
 
 (** The decoded program for [addr]'s current code (the empty program
-    for destroyed or code-less accounts, mirroring {!code}). Decoding
-    is memoized twice over: on the account record (no hashing on a
-    repeat call) and process-wide by code hash in {!Program.of_code}
-    (so forks and rolled-back states never re-decode either). *)
+    for destroyed or code-less accounts, mirroring {!code}), memoized
+    on the account record: {!copy} shares the memo and the undo journal
+    restores it with the code, so forks and rolled-back states never
+    re-decode. *)
 let program t addr : Program.t =
   match WT.find_opt t.accounts addr with
   | Some a when not a.destroyed ->

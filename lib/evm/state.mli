@@ -30,8 +30,9 @@ val code : t -> address -> string
 
 val program : t -> address -> Program.t
 (** The decoded program for {!code} (the empty program for destroyed or
-    code-less accounts), memoized on the account and process-wide by
-    code hash ({!Program.of_code}). *)
+    code-less accounts), decoded once per account and memoized on it;
+    {!copy} keeps the memo, and {!restore} puts back the memo of the
+    code it restores. *)
 
 val sload : t -> address -> U.t -> U.t
 val is_destroyed : t -> address -> bool

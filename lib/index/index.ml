@@ -1,5 +1,5 @@
 (* Streaming analysis index. See index.mli for the contract, the
-   dirty-set soundness assumptions and the durability story. *)
+   retry policy and the durability story. *)
 
 module U = Ethainter_word.Uint256
 module P = Ethainter_core.Pipeline
@@ -26,12 +26,13 @@ type status =
   | Quarantined of int
 
 (* One record per contract address ever seen. [state] transitions
-   Pending -> Indexed (job completion), Indexed -> Pending
-   (invalidation), Pending -> Quarantined (circuit breaker) ->
-   Pending (backoff-expired probe), * -> Destroyed (self-destruct;
-   absorbing). All fields are guarded by the index mutex; a completed
-   job only stores its result while the entry is still Pending, so a
-   destroy that overtook the job wins. *)
+   Pending -> Indexed (job completion), Pending -> Quarantined (a
+   timed-out or crashed analysis, or an open breaker) -> Pending
+   (probe), * -> Destroyed (self-destruct; absorbing). An Indexed
+   entry stays Indexed: its verdict is a function of its bytecode. All
+   fields are guarded by the index mutex; a completed job only stores
+   its result while the entry is still Pending, so a destroy that
+   overtook the job wins. *)
 type entry = {
   addr : U.t;
   code : string;
@@ -62,11 +63,9 @@ type t = {
   (* cumulative counters (telemetry reads them under [mu]) *)
   mutable blocks_seen : int;
   mutable deployed : int;
-  mutable invalidations : int;
   mutable analyses : int;
   mutable reanalyses : int;
   mutable destroyed : int;
-  mutable dirty_last : int;
   mutable lag_total : int;      (* deployment -> first verdict, blocks *)
   mutable lag_verdicts : int;
   mutable quarantined_now : int;
@@ -135,20 +134,6 @@ let maybe_checkpoint_locked t =
             t.journal_errors <- t.journal_errors + 1
       end
 
-(* ---------------- dirty-set matching ---------------- *)
-
-(* Slots at or above 2^64 are hash-derived (mapping/array members) —
-   compiler-assigned constant slots are tiny, and keccak outputs
-   reaching below 2^64 would need a 2^-192 collision. A write there
-   cannot be attributed to one root (preimages are not invertible), so
-   it dirties every data structure the verdict's guards read. *)
-let hash_region = U.shift_left U.one 64
-
-let slot_dirty (d : P.deps) (slot : U.t) : bool =
-  d.P.dep_unknown
-  || List.exists (U.equal slot) d.P.dep_slots
-  || (d.P.dep_roots <> [] && U.compare slot hash_region >= 0)
-
 (* ---------------- analysis jobs ---------------- *)
 
 (* The job body runs on a pool worker domain (or inline). Failure
@@ -158,7 +143,10 @@ let slot_dirty (d : P.deps) (slot : U.t) : bool =
    The poison-pill breaker brackets the analysis: an open breaker
    short-circuits the job (the entry parks as Quarantined — no pool
    time, no deadline budget burned), and every admitted outcome is
-   reported back so consecutive timeouts/crashes eventually trip it. *)
+   reported back so consecutive timeouts/crashes eventually trip it.
+   A timed-out or crashed analysis parks its entry as Quarantined
+   whether or not the breaker opened: the per-block probe scan is the
+   one retry path. *)
 let job (t : t) (e : entry) () =
   match S.Quarantine.check e.code with
   | S.Quarantine.Reject { r_failures; _ } ->
@@ -185,10 +173,7 @@ let job (t : t) (e : entry) () =
       locked t (fun () ->
           (match e.state with
           | `Pending ->
-              if
-                failed && S.Quarantine.enabled ()
-                && S.Quarantine.failures e.code >= S.Quarantine.threshold
-              then begin
+              if failed then begin
                 e.state <- `Quarantined (S.Quarantine.failures e.code);
                 t.quarantined_now <- t.quarantined_now + 1
               end
@@ -217,7 +202,7 @@ let job (t : t) (e : entry) () =
 (* Run the queued jobs, outside the index mutex. Inline fallback: a
    pool refusal (admission control under overload) runs the job on
    this thread rather than dropping it — the index must never lose a
-   dirty contract. *)
+   queued contract. *)
 let dispatch (t : t) (jobs : (unit -> unit) list) =
   List.iter
     (fun j ->
@@ -232,29 +217,18 @@ let dispatch (t : t) (jobs : (unit -> unit) list) =
    and has already checked the monotonic block-number guard. Shared by
    live ingestion (~live:true — journals the observation and returns
    analysis jobs to dispatch) and journal replay during recovery
-   (~live:false — pure state reconstruction; dirtied entries are left
+   (~live:false — pure state reconstruction; new entries are left
    Pending for the post-replay requeue pass).
 
-   Order within the block matters: deployments first (a deploy+write
-   in one block queues one analysis, not two), self-destructs last (a
-   deploy+kill in one block nets out to Destroyed — though the chain
-   already drops such contracts from [b_deployed]). *)
+   Deployments go first and self-destructs last, so a deploy+kill in
+   one block nets out to Destroyed (though the chain already drops
+   such contracts from [b_deployed]). *)
 let apply_block (t : t) ~live (o : J.obs) =
   if live then journal_append t (J.Ev_block o);
   t.last_block <- o.J.o_number;
   t.blocks_seen <- t.blocks_seen + 1;
   if not live then t.replayed_events <- t.replayed_events + 1;
   let jobs = ref [] in
-  let dirty = ref 0 in
-  let queue e =
-    e.state <- `Pending;
-    e.queued_block <- o.J.o_number;
-    incr dirty;
-    if live then begin
-      t.inflight <- t.inflight + 1;
-      jobs := job t e :: !jobs
-    end
-  in
   (* deployments enter the index *)
   List.iter
     (fun (addr, code) ->
@@ -265,25 +239,11 @@ let apply_block (t : t) ~live (o : J.obs) =
       in
       Hashtbl.replace t.entries addr e;
       t.deployed <- t.deployed + 1;
-      queue e)
+      if live then begin
+        t.inflight <- t.inflight + 1;
+        jobs := job t e :: !jobs
+      end)
     o.J.o_deployed;
-  (* storage writes invalidate matching verdicts. A Pending entry
-     (deployed this very block, or already re-queued) is left alone:
-     its in-flight analysis is pure in the bytecode, so it already
-     reflects the post-write chain. A Quarantined entry is already as
-     dirty as it can be — the backoff probe will requeue it. *)
-  List.iter
-    (fun (addr, slot) ->
-      match Hashtbl.find_opt t.entries addr with
-      | Some ({ state = `Indexed r; _ } as e)
-        when slot_dirty r.P.deps slot ->
-          t.invalidations <- t.invalidations + 1;
-          (* make the re-run a genuine back-end re-execution: the
-             cached result would otherwise answer it *)
-          P.invalidate_backend ~cfg:t.cfg e.code;
-          queue e
-      | _ -> ())
-    o.J.o_writes;
   (* self-destructs are absorbing *)
   List.iter
     (fun addr ->
@@ -296,12 +256,12 @@ let apply_block (t : t) ~live (o : J.obs) =
           t.destroyed <- t.destroyed + 1
       | _ -> ())
     o.J.o_destroyed;
-  t.dirty_last <- !dirty;
   List.rev !jobs
 
-(* Quarantined entries whose breaker backoff has expired get one probe
-   job. Scanned per block only while something is quarantined (the
-   common case costs one integer compare). *)
+(* Quarantined entries whose breaker is closed — below its threshold,
+   or past its backoff — get one probe job. Scanned per block only
+   while something is quarantined (the common case costs one integer
+   compare). *)
 let probe_jobs_locked (t : t) =
   if t.quarantined_now = 0 then []
   else
@@ -323,13 +283,13 @@ let probe_jobs_locked (t : t) =
 let obs_of_block (b : Testnet.block) : J.obs =
   { J.o_number = b.Testnet.b_number;
     o_deployed = b.Testnet.b_deployed;
-    o_writes = b.Testnet.b_storage_writes;
     o_destroyed = b.Testnet.b_selfdestructed }
 
-(* Process one sealed block: compute the dirty set under the mutex,
-   collect the jobs, run them after release (a job's epilogue re-takes
-   the mutex; and inline execution must not hold it). Called from the
-   chain's sealing thread (the subscription), catch-up included. *)
+(* Process one sealed block: apply it under the mutex, collect the
+   jobs (new deployments, due probes), run them after release (a job's
+   epilogue re-takes the mutex; and inline execution must not hold
+   it). Called from the chain's sealing thread (the subscription),
+   catch-up included. *)
 let handle_block (t : t) (b : Testnet.block) =
   let jobs =
     locked t (fun () ->
@@ -359,10 +319,8 @@ let stats_locked (t : t) =
     ("index_destroyed", float_of_int t.destroyed);
     ("index_blocks", float_of_int t.blocks_seen);
     ("index_deployed", float_of_int t.deployed);
-    ("index_invalidations", float_of_int t.invalidations);
     ("index_analyses", float_of_int t.analyses);
     ("index_reanalyses", float_of_int t.reanalyses);
-    ("index_dirty_last_block", float_of_int t.dirty_last);
     ("index_inflight", float_of_int t.inflight);
     ("index_lag_blocks_total", float_of_int t.lag_total);
     ("index_lag_verdicts", float_of_int t.lag_verdicts);
@@ -390,8 +348,8 @@ let make ?pool ?(cfg = Config.default) ?(timeout_s = 120.0)
     blocks_since_ckpt = 0;
     active = true; sub = None;
     last_block = 0; inflight = 0; blocks_seen = 0; deployed = 0;
-    invalidations = 0; analyses = 0; reanalyses = 0; destroyed = 0;
-    dirty_last = 0; lag_total = 0; lag_verdicts = 0;
+    analyses = 0; reanalyses = 0; destroyed = 0; lag_total = 0;
+    lag_verdicts = 0;
     quarantined_now = 0; quarantine_drops = 0; quarantine_probes = 0;
     recovered_verdicts = 0; replayed_events = 0; journal_errors = 0 }
 
@@ -425,8 +383,8 @@ let entry_of_journal (je : J.entry) : entry =
     runs = je.J.e_runs }
 
 (* A replayed verdict lands exactly like a live one: only onto a
-   still-Pending entry (a later replayed destroy or invalidation wins
-   over it, same as live). *)
+   still-Pending entry (a later replayed destroy wins over it, same as
+   live). *)
 let replay_event_locked (t : t) = function
   | J.Ev_block o ->
       if o.J.o_number > t.last_block then ignore (apply_block t ~live:false o)
@@ -460,9 +418,9 @@ let recover ?pool ?cfg ?timeout_s ?checkpoint_every ~journal_dir
               snap.J.s_entries
         | None -> ());
         List.iter (replay_event_locked t) rc.J.r_events;
-        (* whatever is still Pending was dirty at (or dirtied since)
-           the crash: requeue it — these are the only analyses a clean
-           recovery performs *)
+        (* whatever is still Pending had no verdict at the crash (or
+           was parked, which is not durable): requeue it — these are
+           the only analyses a recovery performs *)
         Hashtbl.fold
           (fun _ e acc ->
             match e.state with

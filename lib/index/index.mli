@@ -11,45 +11,25 @@
     attached the chain keeps no block history: each block is dropped
     once delivered.
 
-    {2 Dirty-set computation}
+    {2 What a block costs}
 
-    On each block the index decides what to (re-)analyze:
+    A verdict is a function of the bytecode alone
+    ({!Ethainter_core.Pipeline.run} takes no chain state), so the
+    index analyzes each deployed contract once and keeps its verdict
+    while the contract lives. On each block it does work only for:
 
     - {b deployments} ([b_deployed] — direct or via factory
-      CREATE/CREATE2) enter the index and are queued for analysis;
-    - {b storage writes} ([b_storage_writes]) are matched against each
-      indexed verdict's recorded storage footprint
-      ({!Ethainter_core.Pipeline.deps} — the slots its guard slices
-      read). A matching write (an admin-key rotation hitting
-      [dep_slots], a mapping update hitting a [dep_roots] structure, or
-      any write when [dep_unknown]) {b invalidates} the verdict: the
-      contract is re-queued and its cached back-end result is dropped
-      ({!Ethainter_core.Pipeline.invalidate_backend}) so the re-run is
-      a genuine fixpoint re-execution — while the config-independent
-      front end still hits its cache and is {e never} recomputed;
-    - {b self-destructs} ([b_selfdestructed]) mark the entry
-      {!Destroyed}; in-flight results for it are discarded.
+      CREATE/CREATE2): the contract enters the index and is queued for
+      analysis;
+    - {b self-destructs} ([b_selfdestructed]): the entry becomes
+      {!Destroyed}; an in-flight result for it is discarded;
+    - {b breaker probes}: a {!Quarantined} entry due for a retry (see
+      below) is queued again.
 
-    Untouched contracts keep their verdicts; nothing else runs.
-
-    {2 Soundness assumptions (over-approximation)}
-
-    The dirty set errs only towards re-analysis, under these explicit
-    assumptions: (1) a verdict depends on chain state only through the
-    storage slots in its recorded footprint — true because the
-    analysis reads nothing else of the world; (2) hash-derived
-    (mapping/array member) slots never collide with the small constant
-    slots, so a write at slot ≥ 2{^64} is attributed to {e every} data
-    structure the contract's guards read ([dep_roots] — preimages are
-    not invertible, so root-precise attribution is impossible), and a
-    write below 2{^64} only to its exact [dep_slots] match; (3) failed
-    or timed-out verdicts carry the conservative footprint (any write
-    re-queues them); (4) block effect lists themselves over-approximate
-    (inner-revert writes are kept). Since the analysis is pure in the
-    bytecode, re-analysis never changes a verdict's {e content} — what
-    it refreshes is the verdict's provenance: after {!drain}, every
-    verdict provably reflects a post-write re-execution, which is what
-    the incremental==batch differential checks.
+    Storage writes cost nothing: a block carries none. Re-confirming a
+    flagged verdict against the chain state it guards (say, with Kill
+    on a fork after an owner rotation) would make verdicts
+    state-aware; that is deferred.
 
     {2 Durability}
 
@@ -59,21 +39,24 @@
     checkpoint, so the accumulated verdicts survive the process: a
     crashed or killed daemon restarts with {!recover}, replays
     checkpoint + journal, re-subscribes from the persisted cursor and
-    re-analyzes {e only} contracts that were dirty at (or dirtied
-    since) the crash — clean contracts' verdicts are served from the
-    checkpoint with zero recomputation. Journal I/O failure after open
+    analyzes {e only} contracts that had no verdict at the crash (or
+    were deployed since) — every recorded verdict is served from the
+    journal with zero recomputation. Journal I/O failure after open
     degrades the index to non-durable operation (counted under
     [index_journal_errors]) instead of failing ingestion.
 
     {2 Quarantine}
 
-    Analysis jobs consult {!Ethainter_core.Scheduler.Quarantine}: a
-    contract whose analyses keep timing out or crashing (3
-    consecutive) parks as {!Quarantined} — subsequent dirtying costs
-    nothing until the breaker's exponential backoff expires and a
-    probe re-analysis is queued. Quarantine is per-process and
-    deliberately not durable: a restarted daemon gives the contract a
-    fresh probe. *)
+    Analysis jobs consult {!Ethainter_core.Scheduler.Quarantine}. An
+    analysis that times out or crashes parks its entry as
+    {!Quarantined}, and the per-block probe scan is its only retry
+    path: while the breaker holds fewer than
+    {!Ethainter_core.Scheduler.Quarantine.threshold} consecutive
+    failures, the next sealed block queues a probe; once the breaker
+    is open, the next block after its exponential backoff does, and
+    a redeployment of the same bytecode parks without running.
+    Quarantine is per-process and deliberately not durable: a
+    restarted daemon gives the contract a fresh probe. *)
 
 module U = Ethainter_word.Uint256
 module P = Ethainter_core.Pipeline
@@ -89,14 +72,17 @@ type verdict = {
 
 type status =
   | Unknown                      (** never seen on this chain *)
-  | Pending of int               (** queued at this block; no verdict yet
-                                     (or the previous one was invalidated) *)
+  | Pending of int               (** queued at this block (its deployment,
+                                     or a quarantine probe); no verdict
+                                     yet *)
   | Indexed of verdict
   | Destroyed                    (** self-destructed; last verdict dropped *)
   | Quarantined of int
-      (** the poison-pill breaker is open for this bytecode after this
-          many consecutive failed analyses; a probe re-analysis runs
-          when the backoff expires *)
+      (** the last analysis timed out or crashed, or the poison-pill
+          breaker refused it; the breaker holds this many consecutive
+          failed analyses of the bytecode. A probe re-analysis is
+          queued on the next sealed block while the breaker is closed,
+          or on the first block after its backoff once open *)
 
 type t
 
@@ -135,8 +121,8 @@ val recover :
 (** Open (or create) the durable index rooted at [journal_dir]:
     reconstruct state from the newest valid checkpoint plus journal
     replay ({!Journal.recover} — torn tails tolerated, corrupt newest
-    checkpoint falls back a generation), requeue every entry that was
-    dirty at the crash, then subscribe from the persisted cursor —
+    checkpoint falls back a generation), requeue every entry that had
+    no verdict at the crash, then subscribe from the persisted cursor —
     catching up on the blocks the chain kept past it — and tail:
     exactly {!create}'s attachment semantics from a warm start. A
     cursor at or past the chain head needs no kept block. An empty or
@@ -149,7 +135,9 @@ val recover :
     and bytecode, so a diverging chain surfaces as re-analysis, never
     as a wrong verdict served.
     @raise Invalid_argument when the chain no longer keeps a block
-    past the persisted cursor. *)
+    past the persisted cursor.
+    @raise Failure when [journal_dir] holds a journal of another
+    format version ({!Journal.recover}); no file is touched. *)
 
 val close : t -> unit
 (** Graceful shutdown: {!detach}, {!drain} (in-flight verdicts land),
@@ -181,18 +169,16 @@ val stats : t -> (string * float) list
     [Telemetry.snapshot.extras] under source ["index"]):
     [index_contracts] (live indexed), [index_pending],
     [index_destroyed] (cumulative), [index_blocks] (processed),
-    [index_deployed] (cumulative entries), [index_invalidations]
-    (verdicts re-queued by matching writes, cumulative),
+    [index_deployed] (cumulative entries),
     [index_analyses] (jobs completed), [index_reanalyses] (completed
-    jobs beyond a contract's first), [index_dirty_last_block]
-    (deploys + invalidations queued by the newest block),
+    jobs beyond a contract's first: quarantine probes),
     [index_inflight], [index_lag_blocks_total]/[index_lag_verdicts]
     (summed deployment→first-verdict lag in blocks, and its count —
     divide for mean lag).
 
     PR 9 additions: [index_quarantined] (entries parked right now),
     [index_quarantine_drops] (jobs short-circuited by an open
-    breaker), [index_quarantine_probes] (backoff-expired retries
+    breaker), [index_quarantine_probes] (retries of parked entries
     queued), [index_recovered_verdicts] (verdicts restored from
     checkpoint+journal, not recomputed), [index_replayed_events]
     (journal records applied during recovery),

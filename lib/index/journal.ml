@@ -13,7 +13,11 @@ module Fault = Ethainter_runtime.Fault
    must never be confused with them. *)
 
 let magic = "ETJR"
-let version = 1
+
+(* 2 = block records lost their storage-write list and verdict
+   payloads their [deps] line. [recover] refuses a directory written
+   at another version rather than reading it as corrupt. *)
+let version = 2
 let header_size = 18 (* 4 magic + 1 version + 1 kind + 4 len + 8 digest *)
 let max_payload = 64 * 1024 * 1024
 
@@ -69,7 +73,6 @@ let decode_record buf ~pos : (char * string * int) option =
 type obs = {
   o_number : int;
   o_deployed : (U.t * string) list;
-  o_writes : (U.t * U.t) list;
   o_destroyed : U.t list;
 }
 
@@ -143,25 +146,21 @@ let words l = String.split_on_char ' ' l
 
 let encode_block (o : obs) : string =
   let b = Buffer.create 256 in
-  bline b "block %d %d %d %d" o.o_number
-    (List.length o.o_deployed) (List.length o.o_writes)
-    (List.length o.o_destroyed);
+  bline b "block %d %d %d" o.o_number
+    (List.length o.o_deployed) (List.length o.o_destroyed);
   List.iter
     (fun (a, code) ->
       bline b "d %s %d" (addr_hex a) (String.length code);
       bblob b code)
     o.o_deployed;
-  List.iter
-    (fun (a, slot) -> bline b "w %s %s" (addr_hex a) (addr_hex slot))
-    o.o_writes;
   List.iter (fun a -> bline b "k %s" (addr_hex a)) o.o_destroyed;
   Buffer.contents b
 
 let decode_block buf : obs =
   let pos = ref 0 in
-  let nd, nw, nk, number =
+  let nd, nk, number =
     match words (line buf pos) with
-    | [ "block"; n; d; w; k ] -> (int_of d, int_of w, int_of k, int_of n)
+    | [ "block"; n; d; k ] -> (int_of d, int_of k, int_of n)
     | _ -> raise Parse
   in
   let deployed =
@@ -170,20 +169,13 @@ let decode_block buf : obs =
         | [ "d"; a; len ] -> (addr_of a, blob buf pos (int_of len))
         | _ -> raise Parse)
   in
-  let writes =
-    List.init nw (fun _ ->
-        match words (line buf pos) with
-        | [ "w"; a; s ] -> (addr_of a, addr_of s)
-        | _ -> raise Parse)
-  in
   let killed =
     List.init nk (fun _ ->
         match words (line buf pos) with
         | [ "k"; a ] -> addr_of a
         | _ -> raise Parse)
   in
-  { o_number = number; o_deployed = deployed; o_writes = writes;
-    o_destroyed = killed }
+  { o_number = number; o_deployed = deployed; o_destroyed = killed }
 
 let encode_verdict ~addr ~indexed_block ~runs ~(result : P.result) : string =
   let b = Buffer.create 256 in
@@ -451,9 +443,38 @@ let load_checkpoint dir seq : snapshot option =
           try Some (decode_snapshot payload) with Parse -> None)
       | _ -> None)
 
+(* The format version in a file's first record header: [None] when
+   the file is too short or lacks the magic (empty, torn, garbage —
+   the corruption paths of [recover] handle those). *)
+let file_version path =
+  match open_in_bin path with
+  | exception Sys_error _ -> None
+  | ic ->
+      Fun.protect
+        ~finally:(fun () -> close_in_noerr ic)
+        (fun () ->
+          match really_input_string ic 5 with
+          | h when String.sub h 0 4 = magic -> Some (Char.code h.[4])
+          | _ -> None
+          | exception End_of_file -> None)
+
 let recover ~dir : t * recovery =
   mkdir_p dir;
   let names = try Sys.readdir dir with _ -> [||] in
+  (* a directory of another format version is refused before any file
+     is deleted or truncated: read as corrupt, it would be wiped *)
+  Array.iter
+    (fun name ->
+      if parse_name name <> None then
+        match file_version (Filename.concat dir name) with
+        | Some v when v <> version ->
+            failwith
+              (Printf.sprintf
+                 "Journal.recover: %s holds journal format version %d; \
+                  this build reads version %d only"
+                 dir v version)
+        | _ -> ())
+    names;
   let ckpts = ref [] and wals = ref [] in
   Array.iter
     (fun name ->

@@ -58,7 +58,6 @@ module P := Ethainter_core.Pipeline
 type obs = {
   o_number : int;
   o_deployed : (U.t * string) list;   (** address, runtime bytecode *)
-  o_writes : (U.t * U.t) list;        (** address, storage slot *)
   o_destroyed : U.t list;
 }
 
@@ -141,4 +140,11 @@ val recover : dir:string -> t * recovery
     [{ r_snapshot = None; r_events = []; ... }] — a fresh index.
     Corrupt checkpoint files are deleted; journal files newer than the
     replay cut are deleted (their records are causally after a record
-    that was lost, so keeping them would reorder history). *)
+    that was lost, so keeping them would reorder history).
+
+    Records carry a format version (2 since block records dropped
+    their storage writes). Before any file is deleted or truncated,
+    every checkpoint's and journal's header is read; one that has the
+    journal magic but another version makes [recover] fail, leaving
+    the directory untouched, rather than wiping it as corrupt.
+    @raise Failure naming the directory and both versions. *)

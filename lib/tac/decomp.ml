@@ -484,8 +484,7 @@ let decompile_program (prog : P.t) : program =
   { p_blocks; p_entry = 0; p_def; p_consts = consts; p_phi_args = phi_args;
     p_orphans; p_code_size = String.length prog.P.code }
 
-(** Decompile [code] (runtime bytecode) into a TAC program. Goes
-    through the process-wide program cache: repeated decompiles of the
-    same bytecode — or a decompile of code the interpreter already ran
-    — decode it only once. *)
+(** Decompile [code] (runtime bytecode) into a TAC program, decoding it
+    first; a caller that already holds the decoded program (Kill, from
+    the world state's memo) uses {!decompile_program}. *)
 let decompile (code : string) : program = decompile_program (P.of_code code)

@@ -147,6 +147,24 @@ let test_key_derivation () =
     (fun k' -> Alcotest.(check bool) "key separates inputs" true (k <> k'))
     distinct
 
+(* Pipeline.run hashes a request's code once and derives both its keys
+   from that digest; the keys must be the ones [key] has always given,
+   or every disk entry written before would miss. *)
+let test_key_of_hash () =
+  let code = "\x00\x01bytecode" in
+  let code_hash = Ethainter_crypto.Keccak.hash code in
+  List.iter
+    (fun (fingerprint, expected) ->
+      let k = Cache.key ~version:"8" ~fingerprint code in
+      Alcotest.(check string) ("key_of_hash = key, " ^ fingerprint) k
+        (Cache.key_of_hash ~version:"8" ~fingerprint code_hash);
+      Alcotest.(check string) ("key unchanged, " ^ fingerprint) expected k)
+    [ ( C.fingerprint C.default,
+        "c138bb87eb9f3f66005a416bad194cbcbaa672e9dd77415381f0e83180e13067" );
+      ( "frontend",
+        "edb444b7368293206a3bbc0d7dcd6aaa4747dc677ebe59ee02dca5ab87e9041f" )
+    ]
+
 (* ---------- generic cache: disk tier ---------- *)
 
 let test_disk_roundtrip () =
@@ -415,13 +433,59 @@ let test_pipeline_disk_tier () =
       Alcotest.(check bool) "recomputed past corruption" true
         (normalize r1 = normalize r3))
 
+(* ---------- memory: nothing outlives a shard ---------- *)
+
+(* Distinct contracts go through Pipeline.run in shards, with the
+   analysis caches cleared and the heap compacted after each shard. What
+   stays live must not grow with the number of contracts analysed: a
+   process-wide table of decoded programs, say, would keep one entry
+   (tens of KB) per contract seen. *)
+let test_live_heap_flat_across_shards () =
+  let shards = 4 and per_shard = 60 in
+  let seen = Hashtbl.create 512 in
+  let distinct =
+    List.filter_map
+      (fun (i : G.instance) ->
+        if Hashtbl.mem seen i.G.i_runtime then None
+        else begin
+          Hashtbl.add seen i.G.i_runtime ();
+          Some i.G.i_runtime
+        end)
+      (G.mainnet ~seed:2024 ~fillers:(12, 20)
+         ~size:((shards * per_shard) + 60) ())
+  in
+  Hashtbl.reset seen;
+  if List.length distinct < shards * per_shard then
+    Alcotest.fail "corpus has too few distinct contracts";
+  let live_words () =
+    Gc.compact ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let after =
+    List.init shards (fun k ->
+        List.iteri
+          (fun i code ->
+            if i / per_shard = k then
+              ignore (P.run (P.request (P.Runtime code))))
+          distinct;
+        P.cache_clear ();
+        live_words ())
+  in
+  let first = List.hd after and last = List.nth after (shards - 1) in
+  Alcotest.(check bool)
+    (Printf.sprintf "live words after the last shard (%d) within 10%% of \
+                     those after the first (%d)" last first)
+    true
+    (float_of_int last <= 1.1 *. float_of_int first)
+
 let () =
   Alcotest.run "cache"
     [ ( "memory-tier",
         [ Alcotest.test_case "hit/miss counters" `Quick test_hit_miss_counters;
           Alcotest.test_case "find_or_compute" `Quick test_find_or_compute;
           Alcotest.test_case "LRU eviction" `Quick test_lru_eviction;
-          Alcotest.test_case "key derivation" `Quick test_key_derivation ] );
+          Alcotest.test_case "key derivation" `Quick test_key_derivation;
+          Alcotest.test_case "key from a code hash" `Quick test_key_of_hash ] );
       ( "disk-tier",
         [ Alcotest.test_case "roundtrip" `Quick test_disk_roundtrip;
           Alcotest.test_case "corrupt entry -> miss" `Quick
@@ -450,4 +514,6 @@ let () =
           Alcotest.test_case "cached == uncached (parallel)" `Quick
             test_scheduler_cached_equals_uncached;
           Alcotest.test_case "disk tier end-to-end" `Quick
-            test_pipeline_disk_tier ] ) ]
+            test_pipeline_disk_tier;
+          Alcotest.test_case "live heap flat across shards" `Quick
+            test_live_heap_flat_across_shards ] ) ]

@@ -10,8 +10,9 @@
      gas-, log-, effect- and state-identical to the Bytewise reference
      over handcrafted edge cases and the seeded MiniSol corpus,
      including out-of-gas and step-limit sweeps;
-   - decode-once: a multi-state, multi-call replay performs exactly one
-     decode per unique code hash (telemetry counters, PR 7 style). *)
+   - decode once per account: a multi-state, multi-call replay decodes
+     each account's code once, and a copied state decodes nothing
+     (telemetry counters, PR 7 style). *)
 
 module U = Ethainter_word.Uint256
 module Op = Ethainter_evm.Opcode
@@ -109,7 +110,7 @@ let corpus_codes () =
 (* ---------------- decoder invariant tests ---------------- *)
 
 let test_truncated_push_zero_fill () =
-  let p = P.decode "\x7f\x01\x02" in
+  let p = P.of_code "\x7f\x01\x02" in
   Alcotest.(check int) "one instr" 1 (P.instr_count p);
   let i = p.P.instrs.(0) in
   (match i.B.op with
@@ -125,7 +126,7 @@ let test_truncated_push_zero_fill () =
 
 let test_jumpdest_in_immediate_not_valid () =
   (* 0x60 0x5b: PUSH1 with immediate byte 0x5b; then a real JUMPDEST *)
-  let p = P.decode "\x60\x5b\x5b\x00" in
+  let p = P.of_code "\x60\x5b\x5b\x00" in
   Alcotest.(check bool) "immediate byte not a target" false (P.is_jumpdest p 1);
   Alcotest.(check bool) "real JUMPDEST is" true (P.is_jumpdest p 2);
   Alcotest.(check bool) "out of range" false (P.is_jumpdest p 99)
@@ -133,7 +134,7 @@ let test_jumpdest_in_immediate_not_valid () =
 let test_block_metadata_consistent () =
   List.iter
     (fun (name, code) ->
-      let p = P.decode code in
+      let p = P.of_code code in
       let m = P.instr_count p in
       let covered = ref 0 in
       Array.iteri
@@ -165,7 +166,7 @@ let test_block_metadata_consistent () =
 let test_partition_matches_legacy () =
   List.iter
     (fun (name, code) ->
-      let p = P.decode code in
+      let p = P.of_code code in
       Alcotest.(check string)
         (name ^ ": same partition")
         (partition_str (ref_partition code))
@@ -430,46 +431,49 @@ let test_testnet_replay_differential () =
   Alcotest.(check (list string))
     "replay receipts identical" (run I.Bytewise) (run I.Decoded)
 
-(* ---------------- decode-once cache property ---------------- *)
+(* ---------------- decode once per account ---------------- *)
 
-let test_decode_once () =
-  (* four codes never seen by any other test in this binary (distinct
-     magic constants), deployed into three independent states, five
-     calls each: exactly four decodes, everything else memo/cache hits *)
+let test_decode_once_per_account () =
+  (* four codes deployed into three independent states, five calls
+     each: one decode per (state, account), so twelve; the calls after
+     the first and a copy of a state decode nothing *)
   let codes =
     List.init 4 (fun k ->
         B.assemble
           (ret_word [ B.Push (U.of_int (0xBEEF0000 + k)); B.Op (Op.DUP 1);
                       B.Op Op.ADD ]))
   in
-  let s0 = P.stats () in
-  for _ = 1 to 3 do
-    let st = State.create () in
-    fund st;
+  let call_all st =
     List.iteri
-      (fun k code -> State.set_code st (U.of_int (0x1C0DE00 + k)) code)
-      codes;
-    for _ = 1 to 5 do
-      List.iteri
-        (fun k _ ->
-          let r =
-            I.call_full st ~caller ~target:(U.of_int (0x1C0DE00 + k))
-              ~value:U.zero ~calldata:""
-          in
-          match r.I.outcome with
-          | I.Returned _ -> ()
-          | o -> Alcotest.fail ("call failed: " ^ outcome_str o))
-        codes
-    done
-  done;
+      (fun k _ ->
+        let r =
+          I.call_full st ~caller ~target:(U.of_int (0x1C0DE00 + k))
+            ~value:U.zero ~calldata:""
+        in
+        match r.I.outcome with
+        | I.Returned _ -> ()
+        | o -> Alcotest.fail ("call failed: " ^ outcome_str o))
+      codes
+  in
+  let s0 = P.stats () in
+  let states =
+    List.init 3 (fun _ ->
+        let st = State.create () in
+        fund st;
+        List.iteri
+          (fun k code -> State.set_code st (U.of_int (0x1C0DE00 + k)) code)
+          codes;
+        for _ = 1 to 5 do
+          call_all st
+        done;
+        st)
+  in
   let s1 = P.stats () in
   Alcotest.(check int)
-    "one decode per unique code hash" 4 (s1.P.decodes - s0.P.decodes);
-  (* states 2 and 3 memoize from the global cache without decoding:
-     at least one hit per (state, code) after the first state *)
-  Alcotest.(check bool)
-    "repeat states hit the cache" true
-    (s1.P.hits - s0.P.hits >= 8)
+    "one decode per account" 12 (s1.P.decodes - s0.P.decodes);
+  call_all (State.copy (List.hd states));
+  Alcotest.(check int)
+    "a copied state keeps the memo" 12 ((P.stats ()).P.decodes - s0.P.decodes)
 
 let test_set_code_invalidates_memo () =
   let st = State.create () in
@@ -491,7 +495,7 @@ let test_telemetry_source () =
       List.iter
         (fun k ->
           Alcotest.(check bool) ("has " ^ k) true (List.mem_assoc k pairs))
-        [ "decodes"; "hits"; "evictions"; "entries" ]
+        [ "decodes" ]
 
 let () =
   Alcotest.run "evm_program"
@@ -519,8 +523,8 @@ let () =
           Alcotest.test_case "testnet replay" `Quick
             test_testnet_replay_differential ] );
       ( "cache",
-        [ Alcotest.test_case "decode once per code hash" `Quick
-            test_decode_once;
+        [ Alcotest.test_case "one decode per account" `Quick
+            test_decode_once_per_account;
           Alcotest.test_case "set_code invalidates memo" `Quick
             test_set_code_invalidates_memo;
           Alcotest.test_case "telemetry source" `Quick test_telemetry_source ]

@@ -10,20 +10,25 @@
    - a bit-flipped newest checkpoint falls back to the previous
      generation and replays both generations' journals: corrupt state
      is never served;
-   - recovery is idempotent (recover twice, same answer).
+   - recovery is idempotent (recover twice, same answer);
+   - a directory written at another format version is refused with
+     every file left byte-identical.
 
    Index layer:
    - close/recover restores every verdict with ZERO re-analysis;
    - an outage window (blocks sealed while no index was attached)
-     costs re-analysis for exactly the dirtied contracts, with zero
-     front-end recomputations for anything previously seen;
+     costs one analysis per contract deployed in it and nothing for
+     its storage writes, with zero front-end recomputations for
+     anything previously seen;
    - kill -9 mid-stream (a forked child dying at a seeded crash/torn
      fault site inside the journal) followed by recovery over a
      deterministic replay of the same chain yields verdicts identical
      to a never-crashed batch sweep;
    - the poison-pill breaker quarantines a contract after 3
      consecutive failed analyses and short-circuits further jobs for
-     the same bytecode.
+     the same bytecode;
+   - a failed analysis is retried by the per-block probe scan alone,
+     until the breaker opens.
 
    The fork-based test runs FIRST, before anything in this binary has
    spawned pools or domains, so the child is a plain single-threaded
@@ -183,8 +188,7 @@ let test_kill_and_restart () =
 let obs_fixture n =
   { J.o_number = n;
     o_deployed = [ (U.of_int (100 + n), Printf.sprintf "code-%d" n) ];
-    o_writes = [ (U.of_int (100 + n), U.of_int 0) ];
-    o_destroyed = [] }
+    o_destroyed = [ U.of_int (90 + n) ] }
 
 let verdict_fixture =
   lazy (P.run (P.request (P.Runtime (compile 42))))
@@ -346,6 +350,69 @@ let test_corrupt_checkpoint_falls_back () =
   check_events "second recovery same events" [ ev_mid; ev_late ]
     r2.J.r_events
 
+(* A record as format version 1 framed it: the same header layout and
+   FNV-64 digest as today's, with version byte 1. *)
+let v1_record kind payload =
+  let len = String.length payload in
+  let h = ref 0x3bf29ce484222325 in
+  let step b = h := (!h lxor b) * 0x100000001b3 in
+  List.iter step
+    [ 1; Char.code kind; (len lsr 24) land 0xff; (len lsr 16) land 0xff;
+      (len lsr 8) land 0xff; len land 0xff ];
+  String.iter (fun c -> step (Char.code c)) payload;
+  let b = Bytes.create (18 + len) in
+  Bytes.blit_string "ETJR" 0 b 0 4;
+  Bytes.set b 4 '\001';
+  Bytes.set b 5 kind;
+  Bytes.set_int32_be b 6 (Int32.of_int len);
+  Bytes.set_int64_be b 10 (Int64.of_int !h);
+  Bytes.blit_string payload 0 b 18 len;
+  Bytes.to_string b
+
+let read_all path = In_channel.with_open_bin path In_channel.input_all
+
+let contains s sub =
+  let n = String.length sub in
+  let rec at i =
+    i + n <= String.length s && (String.sub s i n = sub || at (i + 1))
+  in
+  at 0
+
+let test_other_version_refused () =
+  let jdir = temp_dir () in
+  Unix.mkdir jdir 0o755;
+  (* a version-1 directory: a checkpoint at cursor 3 and the WAL after
+     it, whose block record still lists its storage writes *)
+  let files =
+    [ ( "ckpt-000000001.ethj",
+        v1_record 'K' "ethainter.index.ckpt.v1\ncursor 3\nentries 0\n" );
+      ( "wal-000000001.ethj",
+        v1_record 'B' "block 4 0 1 0\nw 0x10 0x0\n" ) ]
+  in
+  List.iter
+    (fun (name, bytes) ->
+      Out_channel.with_open_bin (Filename.concat jdir name) (fun oc ->
+          output_string oc bytes))
+    files;
+  let net = T.create () in
+  (match Idx.recover ~journal_dir:jdir net with
+  | idx ->
+      Idx.close idx;
+      Alcotest.fail "a version-1 journal directory was opened"
+  | exception Failure msg ->
+      Alcotest.(check bool) "error names the directory" true
+        (contains msg jdir);
+      Alcotest.(check bool) "error names both versions" true
+        (contains msg "version 1" && contains msg "version 2"));
+  Alcotest.(check (list string)) "no file added or removed"
+    (List.sort compare (List.map fst files))
+    (List.sort compare (Array.to_list (Sys.readdir jdir)));
+  List.iter
+    (fun (name, bytes) ->
+      Alcotest.(check bool) (name ^ " byte-identical") true
+        (read_all (Filename.concat jdir name) = bytes))
+    files
+
 (* ---------- index layer ---------- *)
 
 let test_close_recover_zero_reanalysis () =
@@ -383,7 +450,7 @@ let test_close_recover_zero_reanalysis () =
     before (Idx.contents idx2);
   Idx.close idx2
 
-let test_outage_reanalyzes_only_dirty () =
+let test_outage_analyzes_only_new () =
   let jdir = temp_dir () in
   let net, boss = funded "jr-outage" in
   P.cache_clear ();
@@ -404,13 +471,14 @@ let test_outage_reanalyzes_only_dirty () =
   let idx2 = Idx.recover ~journal_dir:jdir net in
   Idx.drain idx2;
   let st = Idx.stats idx2 in
-  (* exactly the dirty set re-analyzed: the rotated contract plus the
-     new deployment; the two clean contracts came back from the
-     journal untouched *)
+  (* the rotation cost nothing: every verdict came back from the
+     journal, and only the new deployment was analyzed *)
   Alcotest.(check int) "three verdicts recovered, not recomputed" 3
     (int_of_float (get st "index_recovered_verdicts"));
-  Alcotest.(check int) "exactly 2 re-analyses (dirty + new)" 2
+  Alcotest.(check int) "exactly 1 analysis (the new contract)" 1
     (int_of_float (get st "index_analyses"));
+  Alcotest.(check bool) "the rotated contract keeps its verdict" true
+    (match Idx.lookup idx2 a with Idx.Indexed _ -> true | _ -> false);
   (* front-end recomputation only for the genuinely new bytecode *)
   let fe1 = (P.frontend_cache_stats ()).Ethainter_core.Cache.misses in
   Alcotest.(check int) "one front-end miss (the new contract)" 1 (fe1 - fe0);
@@ -476,6 +544,13 @@ let test_quarantine_breaker_unit () =
     (S.Quarantine.check ~now:(later +. 0.6) k = S.Quarantine.Admit);
   S.Quarantine.clear ()
 
+let status_name = function
+  | Idx.Indexed _ -> "Indexed"
+  | Idx.Pending _ -> "Pending"
+  | Idx.Destroyed -> "Destroyed"
+  | Idx.Unknown -> "Unknown"
+  | Idx.Quarantined _ -> "Quarantined"
+
 let test_quarantine_in_index () =
   S.Quarantine.clear ();
   let net, boss = funded "jr-quarantine" in
@@ -489,52 +564,44 @@ let test_quarantine_in_index () =
     | Some (_, c) -> c
     | None -> Alcotest.fail "deployed contract missing from the chain"
   in
+  let analyses0 = int_of_float (get (Idx.stats idx) "index_analyses") in
   (* Trip the breaker on this runtime bytecode directly — three
      consecutive failures, exactly what three crashed/timed-out
      analyses would have reported. (Fault-injected failures only fire
      at deadline poll sites, which this tiny contract's analysis never
      reaches, so the deterministic route is to feed the breaker the
-     outcomes itself; the "3 real failures park the entry" epilogue is
-     covered by the unit test above.) *)
+     outcomes itself; real failed analyses are covered by the retry
+     test below.) *)
   S.Quarantine.record code ~ok:false;
   S.Quarantine.record code ~ok:false;
   S.Quarantine.record code ~ok:false;
-  (* a write to [owner] dirties the entry; the re-analysis job hits
-     the open breaker and parks it as Quarantined without burning any
-     pool time *)
-  let next = T.account_of_seed "q-owner-0" in
-  ignore (T.call_fn net ~from:boss ~to_:a "setOwner(address)" [ next ]);
+  (* the same bytecode redeployed: the job hits the open breaker and
+     parks the new entry as Quarantined without burning any pool time *)
+  let a2 = deploy_tag net boss 950 in
   Idx.drain idx;
-  (match Idx.lookup idx a with
+  (match Idx.lookup idx a2 with
   | Idx.Quarantined n ->
       Alcotest.(check bool) "threshold consecutive failures" true
         (n >= S.Quarantine.threshold)
-  | st ->
-      Alcotest.failf "expected Quarantined, got %s"
-        (match st with
-        | Idx.Indexed _ -> "Indexed"
-        | Idx.Pending _ -> "Pending"
-        | Idx.Destroyed -> "Destroyed"
-        | Idx.Unknown -> "Unknown"
-        | Idx.Quarantined _ -> "Quarantined"));
+  | st -> Alcotest.failf "expected Quarantined, got %s" (status_name st));
   let st = Idx.stats idx in
   Alcotest.(check int) "one entry parked" 1
     (int_of_float (get st "index_quarantined"));
-  let analyses0 = int_of_float (get st "index_analyses") in
-  (* same bytecode at a new address: the breaker short-circuits the
-     job before any analysis runs *)
-  let a2 = deploy_tag net boss 950 in
+  (* a third instance: short-circuited before any analysis runs *)
+  let a3 = deploy_tag net boss 950 in
   Idx.drain idx;
   let st2 = Idx.stats idx in
-  Alcotest.(check bool) "second instance parked too" true
-    (match Idx.lookup idx a2 with Idx.Quarantined _ -> true | _ -> false);
-  Alcotest.(check int) "job short-circuited, not analyzed" analyses0
+  Alcotest.(check bool) "third instance parked too" true
+    (match Idx.lookup idx a3 with Idx.Quarantined _ -> true | _ -> false);
+  Alcotest.(check int) "jobs short-circuited, not analyzed" analyses0
     (int_of_float (get st2 "index_analyses"));
-  Alcotest.(check bool) "drop counted" true
-    (get st2 "index_quarantine_drops" >= 1.0);
+  Alcotest.(check bool) "drops counted" true
+    (get st2 "index_quarantine_drops" >= 2.0);
+  Alcotest.(check bool) "the first instance keeps its verdict" true
+    (match Idx.lookup idx a with Idx.Indexed _ -> true | _ -> false);
   (* after the backoff (0.25 s on a first trip) the next sealed block
      queues probe jobs; with no failures injected the probes succeed,
-     close the breaker, and both instances return to Indexed *)
+     close the breaker, and both parked instances become Indexed *)
   Thread.delay 0.3;
   ignore (deploy_tag net boss 951);
   Idx.drain idx;
@@ -543,8 +610,42 @@ let test_quarantine_in_index () =
     (get st3 "index_quarantine_probes" >= 1.0);
   Alcotest.(check int) "nothing left quarantined" 0
     (int_of_float (get st3 "index_quarantined"));
-  Alcotest.(check bool) "probed entry re-indexed" true
-    (match Idx.lookup idx a with Idx.Indexed _ -> true | _ -> false);
+  Alcotest.(check bool) "probed entries re-indexed" true
+    (List.for_all
+       (fun x -> match Idx.lookup idx x with Idx.Indexed _ -> true | _ -> false)
+       [ a2; a3 ]);
+  Idx.detach idx;
+  S.Quarantine.clear ()
+
+(* A timed-out analysis is retried by the per-block probe scan, with no
+   storage write anywhere: one probe per sealed block while the breaker
+   is below its threshold, none while it is open. *)
+let test_failed_analysis_retries () =
+  S.Quarantine.clear ();
+  let net, boss = funded "jr-retry" in
+  let idx = Idx.create ~timeout_s:0.0 net in
+  let a = deploy_tag net boss 960 in
+  let analyses () = int_of_float (get (Idx.stats idx) "index_analyses") in
+  let parked () =
+    match Idx.lookup idx a with
+    | Idx.Quarantined n -> n
+    | st -> Alcotest.failf "expected Quarantined, got %s" (status_name st)
+  in
+  Alcotest.(check int) "deployment analyzed once" 1 (analyses ());
+  Alcotest.(check int) "parked after one failure" 1 (parked ());
+  let empty_block () = T.in_block net (fun () -> ()) in
+  empty_block ();
+  Alcotest.(check int) "next block retries" 2 (analyses ());
+  Alcotest.(check int) "parked after two failures" 2 (parked ());
+  empty_block ();
+  Alcotest.(check int) "and the next" 3 (analyses ());
+  Alcotest.(check int) "breaker opens at the threshold"
+    S.Quarantine.threshold (parked ());
+  empty_block ();
+  empty_block ();
+  Alcotest.(check int) "no retry while the breaker is open" 3 (analyses ());
+  Alcotest.(check int) "the two retries were probes" 2
+    (int_of_float (get (Idx.stats idx) "index_quarantine_probes"));
   Idx.detach idx;
   S.Quarantine.clear ()
 
@@ -562,14 +663,18 @@ let () =
           Alcotest.test_case "torn tail truncated, appends resume" `Quick
             test_torn_tail_truncated;
           Alcotest.test_case "bit-flipped checkpoint falls back" `Quick
-            test_corrupt_checkpoint_falls_back ] );
+            test_corrupt_checkpoint_falls_back;
+          Alcotest.test_case "other format version refused, untouched"
+            `Quick test_other_version_refused ] );
       ( "recovery",
         [ Alcotest.test_case "close/recover: zero re-analysis" `Quick
             test_close_recover_zero_reanalysis;
-          Alcotest.test_case "outage re-analyzes only the dirty set" `Quick
-            test_outage_reanalyzes_only_dirty ] );
+          Alcotest.test_case "outage re-analyzes only new deployments"
+            `Quick test_outage_analyzes_only_new ] );
       ( "quarantine",
         [ Alcotest.test_case "breaker unit semantics" `Quick
             test_quarantine_breaker_unit;
           Alcotest.test_case "poison pill parks in the index" `Quick
-            test_quarantine_in_index ] ) ]
+            test_quarantine_in_index;
+          Alcotest.test_case "failed analysis retried by probes" `Quick
+            test_failed_analysis_retries ] ) ]
